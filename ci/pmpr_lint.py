@@ -25,7 +25,8 @@ cannot express:
   naked-new-delete          No `new` / `delete` expressions outside
                             ws_deque.hpp (whose lock-free buffer handoff
                             genuinely needs manual lifetime management) and
-                            the obs/ registries (intentionally leaked so
+                            the leaked obs/ storage (the slot registry
+                            template and the trace buffers, kept alive so
                             pool workers can flush telemetry at exit).
                             `= delete`d functions are not flagged.
 
@@ -137,17 +138,13 @@ ALLOW = {
         # type: make_unique cannot reach the private ctor, so the factory
         # wraps a bare `new` in unique_ptr on the same line.
         "src/graph/paged_multi_window.cpp",
-        # Leaked telemetry registries: static-destruction-order safety for
-        # pool worker threads flushing counters/spans at exit.
-        "src/obs/counters.cpp",
+        # Leaked telemetry storage: pool worker threads may still record
+        # while static destructors run, and the crash handler may read the
+        # slot registries at any point of the process's death. The slot
+        # template holds every per-thread block array; trace.cpp keeps the
+        # span buffers and the trace epoch.
+        "src/obs/slots.hpp",
         "src/obs/trace.cpp",
-        "src/obs/histogram.cpp",
-        "src/obs/memory.cpp",
-        # Flight recorder + heartbeat registries: leaked for the same
-        # exit-order reason, plus the crash handler may read them at any
-        # point of the process's death.
-        "src/obs/flightrec.cpp",
-        "src/obs/watchdog.cpp",
     },
     "raw-clock": set(),
     "simd-intrinsics-confined": set(),

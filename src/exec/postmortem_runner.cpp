@@ -10,8 +10,8 @@
 #include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
 #include "obs/memory.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "pagerank/partial_init.hpp"
 #include "pagerank/spmm_temporal.hpp"
 #include "pagerank/spmv_temporal.hpp"
@@ -284,9 +284,7 @@ class PostmortemDriver {
     st.x.resize(n);
     st.scratch.resize(n);
     {
-      PMPR_TRACE_SPAN("window.build");
-      PMPR_FR_PHASE("window.build", w);
-      obs::PhaseTimer timing(obs::Phase::kBuild);
+      PMPR_PHASE(obs::Phase::kBuild, "window.build", w);
       if (cfg_.compiled_kernels) {
         compile_window(part, ts, te, st.ws, st.compiled_win, kernel_par_,
                        &st.decode_scratch);
@@ -300,9 +298,7 @@ class PostmortemDriver {
                          st.carry_index == item.index - 1 &&
                          st.prev_x.size() == n;
     {
-      PMPR_TRACE_SPAN("window.init");
-      PMPR_FR_PHASE("window.init", w);
-      obs::PhaseTimer timing(obs::Phase::kInit);
+      PMPR_PHASE(obs::Phase::kInit, "window.init", w);
       if (partial) {
         partial_init(st.prev_x, st.prev_active, st.ws.active, st.ws.num_active,
                      st.x);
@@ -313,9 +309,7 @@ class PostmortemDriver {
 
     PagerankStats stats;
     {
-      PMPR_TRACE_SPAN("window.iterate");
-      PMPR_FR_PHASE("window.iterate", w);
-      obs::PhaseTimer timing(obs::Phase::kIterate);
+      PMPR_PHASE(obs::Phase::kIterate, "window.iterate", w);
       stats = cfg_.compiled_kernels
                   ? pagerank_window_spmv(st.ws, st.compiled_win, st.x,
                                          st.scratch, cfg_.pr, kernel_par_)
@@ -328,9 +322,7 @@ class PostmortemDriver {
     obs::count(obs::Counter::kWindowsProcessed);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
     {
-      PMPR_TRACE_SPAN("window.sink");
-      PMPR_FR_PHASE("window.sink", w);
-      obs::PhaseTimer timing(obs::Phase::kSink);
+      PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
       sink_.consume_mapped(w, part.local_to_global, st.x);
       // Read-amplification denominator: rank bytes this window delivered.
       obs::count(obs::Counter::kWindowOutputBytes, n * sizeof(double));
@@ -359,9 +351,7 @@ class PostmortemDriver {
     st.x.resize(n * lanes);
     st.scratch.resize(n * lanes);
     {
-      PMPR_TRACE_SPAN("batch.build");
-      PMPR_FR_PHASE("batch.build", batch.first_window);
-      obs::PhaseTimer timing(obs::Phase::kBuild);
+      PMPR_PHASE(obs::Phase::kBuild, "batch.build", batch.first_window);
       if (cfg_.compiled_kernels) {
         compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
                            kernel_par_, &st.decode_scratch);
@@ -376,9 +366,7 @@ class PostmortemDriver {
                          st.prev_lanes >= lanes &&
                          st.prev_x.size() == n * st.prev_lanes;
     {
-      PMPR_TRACE_SPAN("batch.init");
-      PMPR_FR_PHASE("batch.init", batch.first_window);
-      obs::PhaseTimer timing(obs::Phase::kInit);
+      PMPR_PHASE(obs::Phase::kInit, "batch.init", batch.first_window);
       const std::size_t words = st.spmm_ws.mask_words;
       for (std::size_t k = 0; k < lanes; ++k) {
         if (partial) {
@@ -404,9 +392,7 @@ class PostmortemDriver {
 
     SpmmStats stats;
     {
-      PMPR_TRACE_SPAN("batch.iterate");
-      PMPR_FR_PHASE("batch.iterate", batch.first_window);
-      obs::PhaseTimer timing(obs::Phase::kIterate);
+      PMPR_PHASE(obs::Phase::kIterate, "batch.iterate", batch.first_window);
       stats = cfg_.compiled_kernels
                   ? pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x,
                                   st.scratch, cfg_.pr, kernel_par_,
@@ -418,9 +404,7 @@ class PostmortemDriver {
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, batch.first_window,
                    lanes);
 
-    PMPR_TRACE_SPAN("batch.sink");
-    PMPR_FR_PHASE("batch.sink", batch.first_window);
-    obs::PhaseTimer sink_timing(obs::Phase::kSink);
+    PMPR_PHASE(obs::Phase::kSink, "batch.sink", batch.first_window);
     st.lane_buf.resize(n);
     for (std::size_t k = 0; k < lanes; ++k) {
       const std::size_t w = batch.window_of_lane(k);
@@ -608,8 +592,7 @@ RunResult run_postmortem(const TemporalEdgeList& events,
   if (config.storage == StorageKind::kOutOfCore) {
     std::unique_ptr<PagedMultiWindowSet> paged;
     {
-      PMPR_TRACE_SPAN("postmortem.build_paged_store");
-      obs::PhaseTimer timing(obs::Phase::kBuild);
+      PMPR_PHASE(obs::Phase::kBuild, "postmortem.build_paged_store", 0);
       PagedMultiWindowSet::Options opts;
       opts.num_parts = config.num_multi_windows;
       opts.policy = config.partition_policy;
@@ -625,8 +608,7 @@ RunResult run_postmortem(const TemporalEdgeList& events,
   }
 
   MultiWindowSet set = [&] {
-    PMPR_TRACE_SPAN("postmortem.build_representation");
-    obs::PhaseTimer timing(obs::Phase::kBuild);
+    PMPR_PHASE(obs::Phase::kBuild, "postmortem.build_representation", 0);
     MultiWindowSet s = MultiWindowSet::build(
         events, spec, config.num_multi_windows, config.partition_policy);
     if (config.storage == StorageKind::kCompressed) s.compress_in_place();

@@ -6,13 +6,10 @@
 // traversed, dangling scans, lane convergence — Fig. 8), and partial
 // initialization (vertices reused vs re-seeded — Fig. 6).
 //
-// Design (same slot discipline as par::parallel_reduce_slots): each thread
-// owns a cache-line-padded block of relaxed atomics, claimed on first use
-// from a fixed pool; threads beyond the pool share one overflow block
-// (still correct — the adds are atomic, merely contended). Aggregation
-// (`counters_snapshot`) sums every block; totals are advisory while
-// writers are live, exact once the producing threads have quiesced (e.g.
-// after ThreadPool::wait returns).
+// Design: each thread owns a cache-line-padded block of relaxed atomics in
+// a SlotRegistry (obs/slots.hpp). Aggregation (`counters_snapshot`) sums
+// every block; totals are advisory while writers are live, exact once the
+// producing threads have quiesced (e.g. after ThreadPool::wait returns).
 //
 // Cost discipline: `count()` is a single relaxed atomic load + branch when
 // telemetry is disabled. Hot loops must accumulate locally and flush once
@@ -100,7 +97,7 @@ namespace detail {
 /// Inline so counters_enabled() compiles to one load at every call site.
 inline std::atomic<bool> g_counters_enabled{false};
 inline std::atomic<bool> g_metrics_enabled{false};
-/// Out-of-line slow path: claims this thread's block on first use and adds.
+/// Out-of-line slow path: adds to the calling thread's block.
 void counter_add(Counter c, std::uint64_t n);
 }  // namespace detail
 

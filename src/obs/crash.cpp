@@ -37,7 +37,7 @@ alignas(16) char g_alt_stack[64 * 1024];
 // Nothing below this marker (until END) may allocate, lock, touch
 // iostreams/stdio, or construct std::string — enforced by the pmpr-lint
 // rule signal-unsafe-in-handler. Output goes through obs/sigsafe.hpp;
-// all cross-thread state it reads is pre-warmed lock-free atomics.
+// all cross-thread state it reads is lock-free atomics.
 
 const char* signal_name(int signo) {
   switch (signo) {
@@ -77,7 +77,7 @@ void write_report_fd(int fd, const DiagnosticContext& ctx) {
   sigsafe_put_i64(fd, ctx.threshold_ns);
 
   // Counter snapshot: counters_snapshot() is pure relaxed loads over the
-  // leaked registry — signal-safe once pre-warmed.
+  // published blocks (none before the first count) — signal-safe.
   const CounterSnapshot counters = counters_snapshot();
   sigsafe_puts(fd, ",\n  \"counters\": {");
   for (std::size_t i = 0; i < kNumCounters; ++i) {
@@ -163,13 +163,10 @@ void crash_signal_handler(int signo, siginfo_t* info, void*) {
 }  // namespace
 
 bool install_crash_handler(const CrashHandlerOptions& opts) {
-  // Pre-warm every lock-free registry the handler reads, so the signal
-  // path only ever loads already-published pointers.
-  fr_prewarm();
-  watchdog_prewarm();
+  // Pin the trace epoch: the handler's trace_now_ns() must not run the
+  // epoch's lazy initialization in signal context. Every slot registry it
+  // reads is a published atomic pointer, null until first recorded.
   (void)trace_now_ns();
-  (void)counters_snapshot();
-  (void)memory_snapshot();
 
   // Pre-render the report path; the handler does no string building.
   const std::string dir = opts.dump_dir.empty() ? "." : opts.dump_dir;

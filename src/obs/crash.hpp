@@ -13,11 +13,12 @@
 // `signal-unsafe-in-handler` over PMPR_ASYNC_SIGNAL_SAFE_BEGIN/END
 // regions): the handler allocates nothing, locks nothing, and formats
 // through obs/sigsafe.hpp onto a pre-opened fd. Everything it reads —
-// the counter/memory registries, the flight recorder rings, the
-// heartbeat slots — is lock-free atomic state that install_crash_handler
-// pre-warms, so the handler only ever loads already-published pointers.
-// The report path is also pre-rendered at install time: the handler does
-// no string building.
+// the counter/memory tallies, the flight recorder rings, the heartbeat
+// blocks, the thread labels — is lock-free atomic state: slot registries
+// are published atomic pointers (a null one reads as empty) and the
+// labels are static storage. The report path and the trace epoch are
+// fixed at install time: the handler builds no string and allocates
+// nothing.
 //
 // The same fd writer doubles as the *safe-path* diagnostic reporter:
 // write_diagnostic_report() is what the watchdog calls on a stall, so a
@@ -35,7 +36,7 @@ struct CrashHandlerOptions {
 };
 
 /// Installs the fatal-signal handler (idempotent; a second call just
-/// re-points dump_dir) and pre-warms every registry the handler reads.
+/// re-points dump_dir) and pins the trace epoch the handler reads.
 /// Returns false if any sigaction registration failed.
 bool install_crash_handler(const CrashHandlerOptions& opts = {});
 
@@ -55,7 +56,7 @@ struct DiagnosticContext {
   const char* kind = "diagnostic";  ///< "signal" | "watchdog_stall" | ...
   int signo = 0;                    ///< Nonzero only for kind "signal".
   const char* stalled_phase = nullptr;  ///< Watchdog: phase that went quiet.
-  std::uint32_t stalled_tid = 0;        ///< Watchdog: its heartbeat slot.
+  std::uint32_t stalled_tid = 0;        ///< Watchdog: its thread slot.
   std::int64_t stall_age_ns = 0;        ///< Watchdog: silence duration.
   std::int64_t threshold_ns = 0;        ///< Watchdog: configured threshold.
 };

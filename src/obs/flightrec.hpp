@@ -5,8 +5,8 @@
 // don't: every thread owns a cache-line-padded fixed-capacity ring of
 // recent structured events (runner span begin/end with window ids,
 // scheduler park/unpark, oocore evict/refault, last-error breadcrumbs,
-// watchdog activity), recorded through the same padded-block slot
-// discipline as counters.cpp. Recording costs one relaxed load + branch
+// watchdog activity) in a SlotRegistry (obs/slots.hpp), so a ring's tid
+// is the thread's slot. Recording costs one relaxed load + branch
 // when the gate is off and a handful of relaxed stores when on — cheap
 // enough to leave armed for a whole run even when full Chrome tracing is
 // off, which is the point: the ring is what's left to read after the
@@ -17,8 +17,8 @@
 //     `pmpr-blackbox-v1` JSON snapshot; drain_flight_recorder() consumes
 //     the retained events exactly once (mutex-serialized);
 //   * the crash path: obs/crash.cpp's signal handler walks the same
-//     pre-allocated registry with fr_emit_events_json(fd) — async-signal-
-//     safe by construction (atomic loads + write(2) only, no allocation);
+//     rings with fr_emit_events_json(fd) — async-signal-safe by
+//     construction (atomic loads + write(2) only, no allocation);
 //   * the metrics path: flight_recorder_stats() backs the pmpr-metrics-v4
 //     "diagnostics" section (records, drops, drains).
 //
@@ -26,7 +26,7 @@
 // writers are live — after a ring wraps, a reader may observe a record
 // whose fields mix two writes. Every field is an individually-relaxed
 // atomic, so torn *values* cannot occur, and every name pointer refers to
-// static storage (string literals or the leaked registry's own buffers),
+// static storage (string literals or the leaked rings' own buffers),
 // so a stale pointer is always dereferenceable. Totals and event lists
 // are exact once producers quiesce.
 //
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pmpr::obs {
@@ -69,7 +68,7 @@ inline constexpr std::size_t kNumFrEvents = 12;
 /// the crash path never materializes these).
 struct FlightEvent {
   std::int64_t t_ns = 0;   ///< trace_now_ns() timestamp.
-  std::uint32_t tid = 0;   ///< Recorder block index of the writing thread.
+  std::uint32_t tid = 0;   ///< Thread slot of the writer (obs/slots.hpp).
   FrEvent kind = FrEvent::kMark;
   std::string name;        ///< Label ("" when the record carried none).
   std::uint64_t a = 0;     ///< Kind-specific payload (window id, bytes...).
@@ -81,14 +80,13 @@ struct FlightRecorderStats {
   std::uint64_t records = 0;  ///< Events ever recorded (incl. overwritten).
   std::uint64_t dropped = 0;  ///< Events overwritten before being read.
   std::uint64_t drains = 0;   ///< Completed drain_flight_recorder() calls.
-  std::uint64_t threads = 0;  ///< Ring blocks claimed (overflow counts 1).
+  std::uint64_t threads = 0;  ///< Rings in use (0 before the first record).
 };
 
 namespace detail {
 /// Inline so flight_recorder_enabled() compiles to one load per call site.
 inline std::atomic<bool> g_flight_recorder_enabled{false};
-/// Out-of-line slow path: claims this thread's ring on first use and
-/// appends one record.
+/// Out-of-line slow path: appends one record to the calling thread's ring.
 void fr_add(FrEvent kind, const char* name, std::uint64_t a, std::uint64_t b);
 }  // namespace detail
 
@@ -120,14 +118,6 @@ inline void fr_record(FrEvent kind, const char* name = nullptr,
 /// last error for crash reports. Gated like fr_record.
 void fr_record_error(const char* what);
 
-/// Labels the calling thread's ring block for crash-report thread
-/// identification ("pool.worker-3", "obs.sampler", "main"). Copies up to
-/// 31 bytes. Unlike fr_record this is NOT gated: threads name themselves
-/// at spawn, typically before the recorder is enabled, and the cost is
-/// once per thread. obs::set_thread_name() forwards here, so every
-/// existing naming site feeds the recorder for free.
-void fr_set_thread_label(std::string_view label);
-
 /// Copies out every retained event, oldest first (per-ring order is exact;
 /// cross-thread order is by timestamp). Non-consuming. Advisory while
 /// writers are live, exact after they quiesce.
@@ -148,7 +138,8 @@ void clear_flight_recorder();
 [[nodiscard]] FlightRecorderStats flight_recorder_stats();
 
 /// Writes the versioned `pmpr-blackbox-v1` JSON (schema, stats, threads,
-/// events) without consuming the rings.
+/// events) without consuming the rings. The thread table lists every
+/// claimed thread slot, recorder or not.
 void write_blackbox_json(std::ostream& out);
 
 /// Convenience: writes the blackbox to `path`. Returns false when the
@@ -166,17 +157,12 @@ bool write_blackbox_json(const std::string& path);
 /// loads and write(2). Returns the number of events emitted.
 std::uint64_t fr_emit_events_json(int fd);
 
-/// Writes the JSON array of per-thread ring identifications
-/// ({"tid","label","records"}) to `fd`. Async-signal-safe.
+/// Writes the JSON array of claimed thread slots ({"tid","label",
+/// "records"}) to `fd`. Async-signal-safe.
 void fr_emit_threads_json(int fd);
 
 /// Writes the last-error breadcrumb as a JSON string body to `fd` (no
 /// surrounding quotes). Async-signal-safe.
 void fr_emit_last_error_json(int fd);
-
-/// Forces the registry (and its rings) to exist now, so a later signal
-/// handler only ever loads an already-published pointer. Called by
-/// install_crash_handler(); harmless to call repeatedly.
-void fr_prewarm();
 
 }  // namespace pmpr::obs

@@ -9,10 +9,9 @@
 //      bytes to a MemTag (graph arrays, compiled kernels, decode scratch,
 //      paged oocore payloads, obs itself). Charges flow through MemCharge
 //      RAII members or the TaggedAlloc STL allocator; per-thread monotone
-//      alloc/free tallies use the same cache-line-padded slot discipline
-//      as counters.cpp, and a small set of global padded live/peak pairs
-//      maintains watermarks (live can dip and rise, so it cannot live in
-//      per-thread blocks).
+//      alloc/free tallies live in a SlotRegistry (obs/slots.hpp), and a
+//      small set of global padded live/peak pairs maintains watermarks
+//      (live can dip and rise, so it cannot live in per-thread blocks).
 //   2. Process residency readers: current RSS from /proc/self/statm and
 //      lifetime peak RSS from getrusage, plus a ResidencyProbe interface
 //      the paged store implements so the sampler can chart real (mincore)
@@ -82,8 +81,8 @@ struct MemorySnapshot {
 namespace detail {
 /// Inline so memory_accounting_enabled() compiles to one load per call.
 inline std::atomic<bool> g_memory_accounting_enabled{false};
-/// Out-of-line slow path: claims this thread's tally block on first use,
-/// records the tally, and maintains the global live/peak watermarks.
+/// Out-of-line slow path: records the tally in the calling thread's block
+/// and maintains the global live/peak watermarks.
 void memory_add(MemTag t, std::uint64_t bytes, bool is_free);
 }  // namespace detail
 

@@ -6,10 +6,7 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
-#include <utility>
 
-#include "obs/flightrec.hpp"
-#include "obs/watchdog.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace pmpr::obs {
@@ -28,11 +25,9 @@ struct Record {
 /// between runs), so the append cost is a plain lock/unlock.
 struct ThreadBuf {
   explicit ThreadBuf(std::uint32_t id) : tid(id) {}
-  const std::uint32_t tid;
+  const std::uint32_t tid;  ///< The owning thread's slot.
   Mutex mu;
   std::vector<Record> records PMPR_GUARDED_BY(mu);
-  /// Perfetto track label; empty = unnamed (no metadata event emitted).
-  std::string name PMPR_GUARDED_BY(mu);
 };
 
 struct Registry {
@@ -64,13 +59,17 @@ ThreadBuf& my_buf() {
   if (buf == nullptr) {
     Registry& r = registry();
     LockGuard lock(r.mu);
-    r.bufs.push_back(
-        std::make_unique<ThreadBuf>(static_cast<std::uint32_t>(r.bufs.size())));
+    r.bufs.push_back(std::make_unique<ThreadBuf>(
+        static_cast<std::uint32_t>(thread_slot())));
     buf = r.bufs.back().get();
     tls_buf = buf;
   }
   return *buf;
 }
+
+}  // namespace
+
+namespace detail {
 
 std::string escape_json(std::string_view s) {
   std::string out;
@@ -82,10 +81,6 @@ std::string escape_json(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
-
-namespace detail {
 
 void record_span(const char* name, std::int64_t start_ns,
                  std::int64_t end_ns) {
@@ -116,18 +111,6 @@ std::vector<CounterSample> collect_counter_samples() {
               return a.t_ns != b.t_ns ? a.t_ns < b.t_ns : a.name < b.name;
             });
   return samples;
-}
-
-void set_thread_name(std::string_view name) {
-  {
-    ThreadBuf& buf = my_buf();
-    LockGuard lock(buf.mu);
-    buf.name.assign(name);
-  }
-  // One naming call labels every diagnostics surface: the Perfetto track
-  // above, the flight-recorder ring, and the watchdog heartbeat slot.
-  fr_set_thread_label(name);
-  heartbeat_set_label(name);
 }
 
 bool set_tracing_enabled(bool enabled) {
@@ -201,15 +184,6 @@ std::string micros(std::int64_t ns) {
 void write_chrome_trace(std::ostream& out) {
   const std::vector<TraceEvent> events = collect_trace();
   const std::vector<CounterSample> samples = collect_counter_samples();
-  std::vector<std::pair<std::uint32_t, std::string>> thread_names;
-  {
-    Registry& r = registry();
-    LockGuard lock(r.mu);
-    for (auto& buf : r.bufs) {
-      LockGuard buf_lock(buf->mu);
-      if (!buf->name.empty()) thread_names.emplace_back(buf->tid, buf->name);
-    }
-  }
   out << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
   bool first = true;
   const auto sep = [&]() -> const char* {
@@ -223,17 +197,19 @@ void write_chrome_trace(std::ostream& out) {
     out << sep()
         << "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
            "\"args\": {\"name\": \"pmpr\"}}";
-    for (const auto& [tid, name] : thread_names) {
+    for (std::size_t tid = 0; tid < claimed_thread_slots(); ++tid) {
+      const std::string name = thread_label(tid);
+      if (name.empty()) continue;
       out << sep()
           << "    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
              "\"tid\": "
-          << tid << ", \"args\": {\"name\": \"" << escape_json(name)
-          << "\"}}";
+          << tid << ", \"args\": {\"name\": \""
+          << detail::escape_json(name) << "\"}}";
     }
   }
   for (const TraceEvent& e : events) {
     // Chrome trace "complete" event: ts/dur in microseconds.
-    out << sep() << "    {\"name\": \"" << escape_json(e.name)
+    out << sep() << "    {\"name\": \"" << detail::escape_json(e.name)
         << "\", \"cat\": \"pmpr\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
         << e.tid << ", \"ts\": " << micros(e.start_ns)
         << ", \"dur\": " << micros(e.end_ns - e.start_ns) << "}";
@@ -245,7 +221,7 @@ void write_chrome_trace(std::ostream& out) {
     val.setf(std::ios::fixed);
     val.precision(3);
     val << s.value;
-    out << sep() << "    {\"name\": \"" << escape_json(s.name)
+    out << sep() << "    {\"name\": \"" << detail::escape_json(s.name)
         << "\", \"cat\": \"pmpr\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, "
            "\"ts\": "
         << micros(s.t_ns) << ", \"args\": {\"value\": " << val.str()

@@ -25,6 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/slots.hpp"
+
 namespace pmpr::obs {
 
 namespace detail {
@@ -33,6 +35,9 @@ inline std::atomic<bool> g_tracing_enabled{false};
 /// Appends a finished span to the calling thread's buffer (registering the
 /// thread on first use).
 void record_span(const char* name, std::int64_t start_ns, std::int64_t end_ns);
+/// `s` as a JSON string body: quotes and backslashes escaped, control
+/// characters dropped. Shared by the trace and blackbox writers.
+[[nodiscard]] std::string escape_json(std::string_view s);
 }  // namespace detail
 
 /// Whether spans record anything. The single check on the disabled path.
@@ -55,7 +60,7 @@ void clear_trace();
 /// One finished span, for tests and ad-hoc inspection.
 struct TraceEvent {
   std::string name;
-  std::uint32_t tid = 0;  ///< Registry-assigned small thread id.
+  std::uint32_t tid = 0;  ///< Thread slot of the recorder (obs/slots.hpp).
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
 };
@@ -81,20 +86,14 @@ void record_counter_sample(const char* name, std::int64_t t_ns, double value);
 /// Copies out every recorded counter sample, sorted by (t, name).
 [[nodiscard]] std::vector<CounterSample> collect_counter_samples();
 
-/// Names the calling thread's track in the exported trace (a Perfetto
-/// "thread_name" metadata event). Registers the thread's buffer if needed,
-/// so it works before tracing is enabled; the last call wins. `name` is
-/// copied.
-void set_thread_name(std::string_view name);
-
 /// Number of spans currently buffered.
 [[nodiscard]] std::size_t trace_event_count();
 
 /// Writes the Chrome trace-event JSON: an object with a "traceEvents"
 /// array of "ph":"X" complete events (ts/dur in microseconds), "ph":"C"
 /// counter events for sampled scheduler gauges, and — whenever any event
-/// exists — "ph":"M" process_name/thread_name metadata so Perfetto labels
-/// the tracks.
+/// exists — "ph":"M" process_name/thread_name metadata (one per named
+/// thread slot, see set_thread_name) so Perfetto labels the tracks.
 void write_chrome_trace(std::ostream& out);
 
 /// File variant; returns false on IO failure.

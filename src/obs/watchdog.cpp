@@ -1,12 +1,13 @@
 #include "obs/watchdog.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <utility>
 
 #include "obs/crash.hpp"
+#include "obs/flightrec.hpp"
 #include "obs/sigsafe.hpp"
+#include "obs/slots.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -18,74 +19,14 @@ namespace pmpr::obs {
 
 namespace {
 
-constexpr std::size_t kLabelLen = 32;
-
-/// One padded per-thread heartbeat slot. `label` is plain chars written
-/// by the owning thread; cross-thread reads are racy-by-contract (always
-/// NUL-terminated, possibly stale) — same discipline as the flight
-/// recorder's ring labels.
+/// One padded per-thread heartbeat slot.
 struct alignas(64) BeatSlot {
   std::atomic<std::int64_t> t_ns{0};       ///< Last beat (trace_now_ns).
   std::atomic<const char*> phase{nullptr}; ///< Literal; nullptr = idle.
   std::atomic<std::uint64_t> beats{0};
-  char label[kLabelLen] = {};
 };
 
-constexpr std::size_t kOwnedBlocks = 256;
-constexpr std::size_t kTotalBlocks = kOwnedBlocks + 1;
-
-struct Registry {
-  std::array<BeatSlot, kTotalBlocks> slots;
-  std::atomic<std::size_t> next_slot{0};
-};
-
-/// Same crash-path-friendly shape as the flight recorder registry: a
-/// namespace-scope atomic pointer the signal handler can load (and bail
-/// on null) without risking lazy construction in signal context.
-std::atomic<Registry*> g_registry{nullptr};
-
-Registry* registry_if_exists() {
-  // acquire: pairs with the release publication in ensure_registry; a
-  // non-null pointer implies fully-constructed slots.
-  return g_registry.load(std::memory_order_acquire);
-}
-
-Registry& ensure_registry() {
-  // acquire: see registry_if_exists.
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r != nullptr) return *r;
-  // Intentionally leaked: threads may still beat during static
-  // destruction, and the crash handler may read at any time.
-  Registry* fresh = new Registry;
-  Registry* expected = nullptr;
-  // acq_rel CAS: release publishes construction; acquire on failure
-  // synchronizes with the winning installer.
-  if (g_registry.compare_exchange_strong(expected, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;  // lost the installation race
-  return *expected;
-}
-
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_slot = kNoSlot;
-
-BeatSlot& my_slot() {
-  Registry& r = ensure_registry();
-  if (tls_slot == kNoSlot) {
-    // seq_cst fetch_add: runs once per thread; no need to reason about a
-    // weaker order.
-    tls_slot = std::min(r.next_slot.fetch_add(1), kOwnedBlocks);
-  }
-  return r.slots[tls_slot];
-}
-
-std::size_t claimed_slots(const Registry& r) {
-  // seq_cst load of a cold gauge; mirrors the claim in my_slot.
-  return std::min(r.next_slot.load(), kTotalBlocks);
-}
+constinit SlotRegistry<BeatSlot, kThreadSlots> g_beats;
 
 // Process-wide watchdog totals (all Watchdog instances feed them; the
 // metrics writer and crash reports read them).
@@ -105,7 +46,7 @@ std::int64_t to_ns(std::chrono::milliseconds ms) {
 namespace detail {
 
 void heartbeat_slow(const char* phase) {
-  BeatSlot& slot = my_slot();
+  BeatSlot& slot = g_beats.mine();
   // relaxed: heartbeat fields are advisory monitor-read state — the
   // watchdog tolerates a stale (phase, t_ns) pairing for one tick, and
   // `phase` only ever points to static storage.
@@ -117,38 +58,24 @@ void heartbeat_slow(const char* phase) {
 void heartbeat_idle_slow() {
   // relaxed: advisory retirement; a one-tick-stale idle flag only delays
   // the slot leaving the stall scan.
-  my_slot().phase.store(nullptr, std::memory_order_relaxed);
+  g_beats.mine().phase.store(nullptr, std::memory_order_relaxed);
 }
 
 }  // namespace detail
 
 bool set_heartbeats_enabled(bool enabled) {
-  if (enabled) {
-    ensure_registry();  // allocate the slots before the first beat
-  }
   // seq_cst exchange: cold toggle, strongest order keeps reasoning trivial.
   return detail::g_heartbeats_enabled.exchange(enabled);
 }
 
-void heartbeat_set_label(std::string_view label) {
-  BeatSlot& slot = my_slot();
-  const std::size_t n = std::min(label.size(), kLabelLen - 1);
-  for (std::size_t i = 0; i < n; ++i) slot.label[i] = label[i];
-  slot.label[n] = '\0';
-}
-
 std::vector<HeartbeatView> heartbeat_table() {
   std::vector<HeartbeatView> out;
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return out;
+  if (g_beats.find() == nullptr) return out;  // skip the trace epoch too
   const std::int64_t now = trace_now_ns();
-  const std::size_t n = claimed_slots(*r);
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const BeatSlot& slot = r->slots[i];
+  g_beats.for_each([&](const BeatSlot& slot, std::size_t i) {
     HeartbeatView v;
     v.tid = static_cast<std::uint32_t>(i);
-    v.label = slot.label;
+    v.label = thread_label(i);
     // relaxed: advisory monitor reads, see heartbeat_slow.
     const char* phase = slot.phase.load(std::memory_order_relaxed);
     const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
@@ -158,7 +85,7 @@ std::vector<HeartbeatView> heartbeat_table() {
       v.age_ns = t > 0 && now > t ? now - t : 0;
     }
     out.push_back(std::move(v));
-  }
+  });
   return out;
 }
 
@@ -185,41 +112,34 @@ void reset_watchdog_stats() {
 
 void watchdog_emit_heartbeats_json(int fd) {
   sigsafe_puts(fd, "[");
-  // acquire: a non-null registry pointer implies constructed slots.
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r != nullptr) {
-    const std::int64_t now = trace_now_ns();
-    // seq_cst load of a cold gauge.
-    const std::size_t n = std::min(r->next_slot.load(), kTotalBlocks);
-    for (std::size_t i = 0; i < n; ++i) {
-      const BeatSlot& slot = r->slots[i];
-      // relaxed: advisory monitor reads, see heartbeat_slow.
-      const char* phase = slot.phase.load(std::memory_order_relaxed);
-      const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
-      const std::uint64_t beats =
-          slot.beats.load(std::memory_order_relaxed);  // relaxed: ditto
-      if (i != 0) sigsafe_puts(fd, ",");
-      sigsafe_puts(fd, "\n    {\"tid\": ");
-      sigsafe_put_u64(fd, i);
-      sigsafe_puts(fd, ", \"label\": \"");
-      sigsafe_put_json_str(fd, slot.label);
-      sigsafe_puts(fd, "\", \"phase\": \"");
-      sigsafe_put_json_str(fd, phase != nullptr ? phase : "");
-      sigsafe_puts(fd, "\", \"age_ns\": ");
-      sigsafe_put_i64(fd,
-                      phase != nullptr && t > 0 && now > t ? now - t : 0);
-      sigsafe_puts(fd, ", \"beats\": ");
-      sigsafe_put_u64(fd, beats);
-      sigsafe_puts(fd, "}");
-    }
-    if (n != 0) sigsafe_puts(fd, "\n  ");
-  }
+  const std::int64_t now = trace_now_ns();
+  const std::size_t n = g_beats.for_each([&](const BeatSlot& slot,
+                                             std::size_t i) {
+    // relaxed: advisory monitor reads, see heartbeat_slow.
+    const char* phase = slot.phase.load(std::memory_order_relaxed);
+    const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
+    const std::uint64_t beats =
+        slot.beats.load(std::memory_order_relaxed);  // relaxed: ditto
+    char label[kThreadLabelLen];
+    copy_thread_label(i, label);
+    if (i != 0) sigsafe_puts(fd, ",");
+    sigsafe_puts(fd, "\n    {\"tid\": ");
+    sigsafe_put_u64(fd, i);
+    sigsafe_puts(fd, ", \"label\": \"");
+    sigsafe_put_json_str(fd, label);
+    sigsafe_puts(fd, "\", \"phase\": \"");
+    sigsafe_put_json_str(fd, phase != nullptr ? phase : "");
+    sigsafe_puts(fd, "\", \"age_ns\": ");
+    sigsafe_put_i64(fd, phase != nullptr && t > 0 && now > t ? now - t : 0);
+    sigsafe_puts(fd, ", \"beats\": ");
+    sigsafe_put_u64(fd, beats);
+    sigsafe_puts(fd, "}");
+  });
+  if (n != 0) sigsafe_puts(fd, "\n  ");
   sigsafe_puts(fd, "]");
 }
 
 // PMPR_ASYNC_SIGNAL_SAFE_END
-
-void watchdog_prewarm() { ensure_registry(); }
 
 Watchdog::Watchdog(WatchdogOptions opts) : opts_(std::move(opts)) {}
 
@@ -237,7 +157,6 @@ void Watchdog::start() {
   if (thread_.joinable()) return;
   stop_requested_ = false;
   prev_heartbeats_ = set_heartbeats_enabled(true);
-  watchdog_prewarm();
   // seq_cst add of a cold stat.
   g_arms.fetch_add(1);
   fr_record(FrEvent::kWatchdogArm, "watchdog",
@@ -272,29 +191,25 @@ bool Watchdog::running() const {
 }
 
 bool Watchdog::check_once() {
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return false;
   const std::int64_t now = trace_now_ns();
   const char* worst_phase = nullptr;
   std::uint32_t worst_tid = 0;
   std::int64_t worst_age = 0;
   std::uint64_t total_beats = 0;
-  const std::size_t n = claimed_slots(*r);
-  for (std::size_t i = 0; i < n; ++i) {
-    const BeatSlot& slot = r->slots[i];
+  g_beats.for_each([&](const BeatSlot& slot, std::size_t i) {
     // relaxed: advisory monitor reads, see heartbeat_slow.
     total_beats += slot.beats.load(std::memory_order_relaxed);
     const char* phase = slot.phase.load(std::memory_order_relaxed);
     const std::int64_t t =
         slot.t_ns.load(std::memory_order_relaxed);  // relaxed: ditto
-    if (phase == nullptr || t <= 0 || now <= t) continue;
+    if (phase == nullptr || t <= 0 || now <= t) return;
     const std::int64_t age = now - t;
     if (age > worst_age) {
       worst_age = age;
       worst_phase = phase;
       worst_tid = static_cast<std::uint32_t>(i);
     }
-  }
+  });
   // seq_cst CAS-max watermark on a cold stat.
   std::int64_t seen = g_max_age_ns.load();
   while (worst_age > seen &&

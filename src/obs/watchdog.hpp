@@ -5,12 +5,12 @@
 // Two pieces:
 //
 //   1. Heartbeats. Every participating thread owns a cache-line-padded
-//      slot (counters-style claim discipline) holding {last-beat
-//      timestamp, current phase literal, beat tally, label}. The thread
-//      pool beats per task and retires its slot when it parks; the three
-//      runners beat at every phase edge (via FrPhase below); the paged
-//      store beats on its map/evict path. heartbeat() is one relaxed
-//      load + branch when the gate is off.
+//      block in a SlotRegistry (obs/slots.hpp) holding {last-beat
+//      timestamp, current phase literal, beat tally}; its tid and label
+//      are the thread's slot. The thread pool beats per task and retires
+//      its slot when it parks; every PMPR_PHASE scope (obs/phase.hpp)
+//      beats at both edges. heartbeat() is one relaxed load + branch when
+//      the gate is off.
 //
 //   2. The Watchdog monitor thread (structured like obs::Sampler:
 //      interruptible condvar pacing, swap-join stop). Each tick it scans
@@ -40,11 +40,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "obs/flightrec.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace pmpr::obs {
@@ -52,7 +50,7 @@ namespace pmpr::obs {
 namespace detail {
 /// Inline so heartbeats_enabled() compiles to one load per call site.
 inline std::atomic<bool> g_heartbeats_enabled{false};
-/// Out-of-line slow paths: claim this thread's slot on first use.
+/// Out-of-line slow paths on the calling thread's heartbeat block.
 void heartbeat_slow(const char* phase);
 void heartbeat_idle_slow();
 }  // namespace detail
@@ -87,21 +85,17 @@ inline void heartbeat_idle() {
   detail::heartbeat_idle_slow();
 }
 
-/// Labels the calling thread's heartbeat slot for diagnostic dumps.
-/// Ungated (threads name themselves at spawn, once); forwarded from
-/// obs::set_thread_name like fr_set_thread_label.
-void heartbeat_set_label(std::string_view label);
-
 /// One slot's state as seen by the monitor/metrics (safe path).
 struct HeartbeatView {
-  std::uint32_t tid = 0;      ///< Heartbeat slot index.
+  std::uint32_t tid = 0;      ///< Thread slot (obs/slots.hpp).
   std::string label;          ///< Thread label ("" when never set).
   std::string phase;          ///< Current phase ("" = idle slot).
   std::int64_t age_ns = 0;    ///< now - last beat (active slots only).
   std::uint64_t beats = 0;    ///< Lifetime beat tally.
 };
 
-/// Snapshot of every claimed slot (idle ones included, with phase "").
+/// Snapshot of every claimed slot (idle ones included, with phase ""); empty
+/// before the first beat.
 [[nodiscard]] std::vector<HeartbeatView> heartbeat_table();
 
 /// Process-wide watchdog totals for the metrics "diagnostics" section.
@@ -122,11 +116,6 @@ void reset_watchdog_stats();
 /// ({"tid","label","phase","age_ns","beats"}) to `fd` using only atomic
 /// loads and write(2). Async-signal-safe; the crash handler calls it.
 void watchdog_emit_heartbeats_json(int fd);
-
-/// Forces the heartbeat registry to exist now so the crash handler only
-/// ever loads an already-published pointer. Called by
-/// install_crash_handler(); harmless to call repeatedly.
-void watchdog_prewarm();
 
 struct WatchdogOptions {
   /// An active slot whose last beat is older than this is a stall.
@@ -199,37 +188,5 @@ class Watchdog {
   std::uint64_t beats_at_last_fire_ = 0;
   bool fired_since_progress_ = false;
 };
-
-/// RAII failure-diagnostics scope for runner phases: records
-/// kSpanBegin/kSpanEnd into the flight recorder and beats the calling
-/// thread's heartbeat at both edges. Sits next to PMPR_TRACE_SPAN +
-/// PhaseTimer at every phase site; costs two relaxed loads when both
-/// gates are off. `name` must be a string literal.
-class FrPhase {
- public:
-  explicit FrPhase(const char* name, std::uint64_t id = 0)
-      : name_(name), id_(id) {
-    fr_record(FrEvent::kSpanBegin, name_, id_);
-    heartbeat(name_);
-  }
-  ~FrPhase() {
-    fr_record(FrEvent::kSpanEnd, name_, id_);
-    heartbeat(name_);
-  }
-
-  FrPhase(const FrPhase&) = delete;
-  FrPhase& operator=(const FrPhase&) = delete;
-
- private:
-  const char* name_;
-  std::uint64_t id_;
-};
-
-#define PMPR_FR_CONCAT2(a, b) a##b
-#define PMPR_FR_CONCAT(a, b) PMPR_FR_CONCAT2(a, b)
-
-/// Scoped phase breadcrumb + heartbeat (see FrPhase).
-#define PMPR_FR_PHASE(name, id) \
-  ::pmpr::obs::FrPhase PMPR_FR_CONCAT(pmpr_fr_phase_, __LINE__)(name, id)
 
 }  // namespace pmpr::obs

@@ -44,7 +44,9 @@
 #include "obs/flightrec.hpp"           // IWYU pragma: export
 #include "obs/histogram.hpp"           // IWYU pragma: export
 #include "obs/memory.hpp"              // IWYU pragma: export
+#include "obs/phase.hpp"               // IWYU pragma: export
 #include "obs/sampler.hpp"             // IWYU pragma: export
+#include "obs/slots.hpp"               // IWYU pragma: export
 #include "obs/trace.hpp"               // IWYU pragma: export
 #include "obs/watchdog.hpp"            // IWYU pragma: export
 #include "pagerank/pagerank.hpp"       // IWYU pragma: export
