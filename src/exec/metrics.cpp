@@ -45,9 +45,10 @@ void write_metrics_json(const RunResult& result, std::ostream& out,
   out << "  \"num_windows\": " << result.num_windows << ",\n";
   out << "  \"total_iterations\": " << result.total_iterations << ",\n";
   out << "  \"peak_memory_bytes\": " << result.peak_memory_bytes << ",\n";
-  // Resolved SIMD ISA of the run ("scalar"/"avx2"/"avx512"; "" for results
-  // predating the field). The simd_sweep_* counters say how many compiled
-  // SpMM sweeps actually ran on each ISA.
+  // Resolved SIMD ISA of the run ("scalar"/"avx2"/"avx512"; "" for offline
+  // and streaming runs and for results predating the field). The
+  // simd_sweep_* counters say how many compiled SpMM sweeps actually ran on
+  // each ISA.
   out << "  \"simd_isa\": \"" << result.simd_isa << "\",\n";
 
   out << "  \"counters\": {";

@@ -75,7 +75,6 @@ RunResult run_offline(const TemporalEdgeList& events, const WindowSpec& spec,
                  "run_offline slices events per window and requires them "
                  "time-sorted; call sort_by_time() first");
   RunResult result;
-  result.simd_isa = std::string(to_string(resolve_simd(opts.simd)));
   result.num_windows = spec.count;
   result.iterations_per_window.assign(spec.count, 0);
   result.final_residuals.assign(spec.count, 0.0);

@@ -8,18 +8,12 @@
 #include "graph/edge_list.hpp"
 #include "graph/window.hpp"
 #include "pagerank/pagerank.hpp"
-#include "pagerank/simd_dispatch.hpp"
 #include "par/parallel_for.hpp"
 
 namespace pmpr {
 
 struct OfflineOptions {
   PagerankParams pr;
-  /// SIMD selection, kept uniform across the three runners so pmpr_run can
-  /// plumb one value everywhere. The offline model's SpMV kernels have no
-  /// wide sweeps; the resolved ISA is validated (a forced unsupported mode
-  /// still fails fast) and recorded in RunResult::simd_isa.
-  SimdMode simd = SimdMode::kAuto;
   /// Parallelize inside each PageRank (application-level).
   bool parallel_kernel = true;
   /// Rebuild + solve different windows concurrently — the "massively

@@ -1,5 +1,6 @@
 #include "exec/postmortem_runner.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -64,15 +65,13 @@ struct PartBatching {
   std::size_t num_batches = 0;
 };
 
-PartBatching batching_for(std::size_t num_windows, std::size_t vector_length,
-                          std::size_t max_lanes) {
-  // The kernels handle up to kMaxSpmmLanes since the multi-word masks of
-  // PR 6; max_lanes is the config's own (tighter) cap.
-  const std::size_t cap =
-      std::min(std::max<std::size_t>(max_lanes, 1), kMaxSpmmLanes);
+PartBatching batching_for(std::size_t num_windows,
+                          std::size_t vector_length) {
+  // vector_length is clamped to the [1, kMaxSpmmLanes] the kernels handle.
   PartBatching b;
-  b.lanes_max = std::min(std::max<std::size_t>(vector_length, 1),
-                         std::min<std::size_t>(num_windows, cap));
+  b.lanes_max = std::min(std::clamp<std::size_t>(vector_length, 1,
+                                                 kMaxSpmmLanes),
+                         num_windows);
   b.region = (num_windows + b.lanes_max - 1) / b.lanes_max;
   b.num_batches = b.region;
   return b;
@@ -168,9 +167,7 @@ class PostmortemDriver {
       const std::size_t count =
           cfg.kernel == KernelKind::kSpmv
               ? part.num_windows
-              : batching_for(part.num_windows, cfg.vector_length,
-                             cfg.max_lanes)
-                    .num_batches;
+              : batching_for(part.num_windows, cfg.vector_length).num_batches;
       for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
     }
 
@@ -277,20 +274,14 @@ class PostmortemDriver {
   void process_spmv(ThreadState& st, const WorkItem& item) {
     const MultiWindowGraph& part = part_of(item);
     const std::size_t w = part.first_window + item.index;
-    const Timestamp ts = spec_.start(w);
-    const Timestamp te = spec_.end(w);
     const std::size_t n = part.num_local();
 
     st.x.resize(n);
     st.scratch.resize(n);
     {
       PMPR_PHASE(obs::Phase::kBuild, "window.build", w);
-      if (cfg_.compiled_kernels) {
-        compile_window(part, ts, te, st.ws, st.compiled_win, kernel_par_,
-                       &st.decode_scratch);
-      } else {
-        compute_window_state(part, ts, te, st.ws, kernel_par_);
-      }
+      compile_window(part, spec_.start(w), spec_.end(w), st.ws,
+                     st.compiled_win, kernel_par_, &st.decode_scratch);
     }
 
     const bool partial = cfg_.partial_init && item.index > 0 &&
@@ -310,11 +301,8 @@ class PostmortemDriver {
     PagerankStats stats;
     {
       PMPR_PHASE(obs::Phase::kIterate, "window.iterate", w);
-      stats = cfg_.compiled_kernels
-                  ? pagerank_window_spmv(st.ws, st.compiled_win, st.x,
-                                         st.scratch, cfg_.pr, kernel_par_)
-                  : pagerank_window_spmv(part, ts, te, st.ws, st.x, st.scratch,
-                                         cfg_.pr, kernel_par_);
+      stats = pagerank_window_spmv(st.ws, st.compiled_win, st.x, st.scratch,
+                                   cfg_.pr, kernel_par_);
     }
     result_.iterations_per_window[w] = stats.iterations;
     result_.final_residuals[w] = stats.final_residual;
@@ -336,8 +324,7 @@ class PostmortemDriver {
 
   void process_spmm(ThreadState& st, const WorkItem& item) {
     const MultiWindowGraph& part = part_of(item);
-    const PartBatching geo =
-        batching_for(part.num_windows, cfg_.vector_length, cfg_.max_lanes);
+    const PartBatching geo = batching_for(part.num_windows, cfg_.vector_length);
     const std::size_t j = item.index;
     const std::size_t lanes = lanes_of_batch(geo, part.num_windows, j);
     assert(lanes >= 1);
@@ -352,12 +339,8 @@ class PostmortemDriver {
     st.scratch.resize(n * lanes);
     {
       PMPR_PHASE(obs::Phase::kBuild, "batch.build", batch.first_window);
-      if (cfg_.compiled_kernels) {
-        compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
-                           kernel_par_, &st.decode_scratch);
-      } else {
-        compute_spmm_state(part, spec_, batch, st.spmm_ws, kernel_par_);
-      }
+      compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
+                         kernel_par_, &st.decode_scratch);
     }
 
     const bool partial = cfg_.partial_init && j > 0 &&
@@ -393,12 +376,8 @@ class PostmortemDriver {
     SpmmStats stats;
     {
       PMPR_PHASE(obs::Phase::kIterate, "batch.iterate", batch.first_window);
-      stats = cfg_.compiled_kernels
-                  ? pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x,
-                                  st.scratch, cfg_.pr, kernel_par_,
-                                  cfg_.simd)
-                  : pagerank_spmm(part, spec_, batch, st.spmm_ws, st.x,
-                                  st.scratch, cfg_.pr, kernel_par_);
+      stats = pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x, st.scratch,
+                            cfg_.pr, kernel_par_, cfg_.simd);
     }
     obs::count(obs::Counter::kWindowsProcessed, lanes);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, batch.first_window,
@@ -443,20 +422,6 @@ class PostmortemDriver {
   std::vector<WorkItem> items_;
   std::vector<std::vector<std::unique_ptr<ThreadState>>> state_stacks_;
 };
-
-}  // namespace
-
-namespace {
-
-/// Compressed representations stream through the compile passes; the
-/// reference (non-compiled) traversal reads the raw arrays and cannot run.
-void check_storage_supported(const PostmortemConfig& config) {
-  PMPR_CHECK_MSG(config.compiled_kernels ||
-                     config.storage == StorageKind::kInRam,
-                 to_string(config.storage)
-                     << " storage requires compiled_kernels: the reference "
-                        "kernels traverse the raw temporal CSR");
-}
 
 /// Folds the run's memory accounting into `result` (which must already
 /// hold its counter delta). alloc/free tallies become run deltas against
@@ -533,9 +498,6 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
 
 RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
                                const PostmortemConfig& config) {
-  PMPR_CHECK_MSG(config.compiled_kernels,
-                 "out-of-core storage requires compiled_kernels: the "
-                 "reference kernels traverse the raw temporal CSR");
   if (config.validate) {
     // Part at a time, bounded by the budget like any other access.
     for (std::size_t p = 0; p < paged.num_parts(); ++p) {
@@ -584,7 +546,6 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
 RunResult run_postmortem(const TemporalEdgeList& events,
                          const WindowSpec& spec, ResultSink& sink,
                          const PostmortemConfig& config) {
-  check_storage_supported(config);
   Timer build_timer;
   double build_seconds = 0.0;
   const obs::HistogramSnapshot hist_before = obs::histograms_snapshot();

@@ -4,8 +4,9 @@
 //     the same thread (§4.2, §4.3.1),
 //   * window-level / application-level / nested parallelism on the
 //     work-stealing pool (§4.3),
-//   * the SpMV or SpMM-inspired kernel (§4.4); SpMM batches are strided so
-//     every batch after the first still partial-initializes.
+//   * the SpMV or SpMM-inspired kernel (§4.4), always over the
+//     batch-compiled adjacency (pagerank/batch_csr.hpp); SpMM batches are
+//     strided so every batch after the first still partial-initializes.
 #pragma once
 
 #include "exec/config.hpp"
@@ -35,9 +36,7 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
 /// Runs on an already-built paged store. Parts are processed part-major:
 /// each part is pinned (PagedMultiWindowSet::acquire) while its windows /
 /// batches compute — possibly in parallel — then released to the LRU.
-/// Requires config.compiled_kernels (the reference traversal needs raw
-/// arrays). Fills the oocore_* fields of RunResult from the store's
-/// PagingStats.
+/// Fills the oocore_* fields of RunResult from the store's PagingStats.
 RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
                                const PostmortemConfig& config);
 

@@ -56,11 +56,10 @@ struct RunResult {
   /// by compile passes over rank bytes delivered to sinks. 0 when the run
   /// decoded nothing (in-RAM storage) or counters were disabled.
   double read_amplification = 0.0;
-  /// Resolved SIMD ISA of the run's options ("scalar" / "avx2" / "avx512").
-  /// Compiled SpMM sweeps executed on this ISA; the per-ISA simd_sweep_*
-  /// counters record how many. Set by all three runners (the SpMV-shaped
-  /// offline/streaming kernels record what dispatch resolved even though
-  /// they do not run the wide sweeps).
+  /// Resolved SIMD ISA of a postmortem run's config ("scalar" / "avx2" /
+  /// "avx512"). Compiled SpMM sweeps executed on this ISA; the per-ISA
+  /// simd_sweep_* counters record how many. Empty for offline and
+  /// streaming runs, which run no SIMD sweep.
   std::string simd_isa;
 
   /// Bytes of the stored representation (raw or compressed, whichever the

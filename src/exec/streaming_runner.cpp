@@ -21,13 +21,6 @@ std::string_view to_string(StreamingAlgorithm a) {
                                                : "delta-push";
 }
 
-StreamingAlgorithm parse_streaming_algorithm(std::string_view name) {
-  if (name == "delta-push" || name == "delta") {
-    return StreamingAlgorithm::kDeltaPush;
-  }
-  return StreamingAlgorithm::kWarmRestart;
-}
-
 namespace {
 
 /// The per-window insert/expire batches of the sliding-window edge stream.
@@ -73,7 +66,6 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
                  "run_streaming replays events as the edge stream and "
                  "requires them time-sorted; call sort_by_time() first");
   RunResult result;
-  result.simd_isa = std::string(to_string(resolve_simd(opts.simd)));
   result.num_windows = spec.count;
   result.iterations_per_window.assign(spec.count, 0);
   result.final_residuals.assign(spec.count, 0.0);

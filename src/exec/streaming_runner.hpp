@@ -11,7 +11,6 @@
 #include "graph/edge_list.hpp"
 #include "graph/window.hpp"
 #include "pagerank/pagerank.hpp"
-#include "pagerank/simd_dispatch.hpp"
 #include "par/parallel_for.hpp"
 
 namespace pmpr {
@@ -26,15 +25,9 @@ enum class StreamingAlgorithm {
 };
 
 [[nodiscard]] std::string_view to_string(StreamingAlgorithm a);
-StreamingAlgorithm parse_streaming_algorithm(std::string_view name);
 
 struct StreamingOptions {
   PagerankParams pr;
-  /// SIMD selection, kept uniform across the three runners so pmpr_run can
-  /// plumb one value everywhere. The streaming kernels have no wide
-  /// sweeps; the resolved ISA is validated (a forced unsupported mode
-  /// still fails fast) and recorded in RunResult::simd_isa.
-  SimdMode simd = SimdMode::kAuto;
   /// Warm-start each window's PageRank from the previous solution
   /// (Riedy-style incremental update). Off = cold start every window.
   bool incremental = true;

@@ -45,8 +45,8 @@ struct MultiWindowGraph {
   /// Chunked delta+varint form of `in` (io/compressed_csr.hpp) — either an
   /// owning re-encoding (compress()) or a zero-copy view into the paged
   /// store's mmap (graph/paged_multi_window.hpp). When set, `in` is empty
-  /// and the batch-compile passes stream from the chunks; the reference
-  /// (non-compiled) kernels cannot run on such a part.
+  /// and the batch-compile passes stream from the chunks; code that reads
+  /// `in` directly (compute_window_state) rejects such a part.
   std::shared_ptr<const io::CompressedTemporalCsr> in_compressed;
 
   [[nodiscard]] bool is_compressed() const { return in_compressed != nullptr; }
@@ -128,8 +128,7 @@ class MultiWindowSet {
 
   /// Re-encodes every part's in-adjacency with the chunked delta+varint
   /// codec and drops the raw arrays (MultiWindowGraph::compress). The
-  /// compiled-kernel compile passes then stream from the chunks; the
-  /// reference kernels cannot run on a compressed set.
+  /// postmortem compile passes then stream from the chunks.
   void compress_in_place(
       std::size_t target_chunk_entries = io::kDefaultChunkEntries);
 

@@ -33,9 +33,9 @@ struct ChunkTally {
 
 /// Pass A of the SpMM compile for ONE row given as col/time spans: run
 /// compression that counts the surviving (mask != 0) runs and scatters
-/// degrees and activity exactly like compute_spmm_state. Shared by the
-/// raw-CSR sweep and the compressed-chunk streaming sweep, which is what
-/// makes the two paths bit-identical by construction.
+/// degrees and activity exactly like the oracle's compute_spmm_state.
+/// Shared by the raw-CSR sweep and the compressed-chunk streaming sweep,
+/// which is what makes the two paths bit-identical by construction.
 ///
 /// Atomicity ownership (audited for the serial/parallel split; the
 /// TSan-gated stress in tests/pagerank/batch_csr_parallel_test.cpp guards

@@ -1,10 +1,11 @@
 // Batch-compiled adjacency: the per-iteration-invariant structure of an
 // SpMM batch (or a single window) compiled into the representation once.
 //
-// The reference kernels re-derive each event's lane membership
-// (lanes_containing -> WindowSpec::windows_containing) and re-scan
-// duplicate <neighbor, time> runs on every edge of every power iteration,
-// and sweep all n rows even when the batch touches a fraction of them.
+// The reference kernels (kept as a test oracle under tests/oracle/)
+// re-derive each event's lane membership (lanes_containing ->
+// WindowSpec::windows_containing) and re-scan duplicate <neighbor, time>
+// runs on every edge of every power iteration, and sweep all n rows even
+// when the batch touches a fraction of them.
 // All of that depends only on (part, spec, batch) — never on the iterate —
 // so it is hoisted into a one-time per-batch build:
 //
@@ -23,7 +24,7 @@
 // simd_sweep_*.cpp) execute the exact floating-point operations of the
 // reference kernels with the same per-lane order, so results, residuals,
 // and iteration counts are bit-identical when run serially
-// (tests/pagerank/compiled_kernels_test.cpp).
+// (tests/pagerank/oracle_differential_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -98,13 +99,12 @@ struct CompiledBatchCsr {
   obs::MemCharge charge;
 };
 
-/// Builds `state` and `out` together: one run-compression pass replaces
-/// compute_spmm_state's scatter (which duplicated the run-scan +
-/// lanes_containing logic) and simultaneously emits the compiled
-/// adjacency. `state` after the call is identical to what
-/// compute_spmm_state produces. Non-null `parallel` runs the row passes
-/// as parallel_fors. Throws InvariantError when batch.lanes is outside
-/// [1, kMaxSpmmLanes].
+/// Builds `state` and `out` together: one run-compression pass scatters
+/// the per-lane degrees and activity and simultaneously emits the compiled
+/// adjacency. `state` after the call is identical to what the reference
+/// scatter (the test oracle's compute_spmm_state) produces. Non-null
+/// `parallel` runs the row passes as parallel_fors. Throws InvariantError
+/// when batch.lanes is outside [1, kMaxSpmmLanes].
 ///
 /// Compressed parts (part.is_compressed()) stream: the passes decode one
 /// chunk at a time into scratch — the raw CSR is never materialized — and

@@ -1,7 +1,6 @@
 #include "pagerank/window_state.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 
@@ -109,95 +108,6 @@ std::uint64_t lanes_containing(const WindowSpec& spec, const SpmmBatch& batch,
   std::uint64_t word = 0;
   lanes_containing_into(spec, batch, t, &word);
   return word;
-}
-
-namespace {
-
-/// Max-width run mask on the stack; only the first mask_words_for(lanes)
-/// words are touched.
-using RunMask = std::array<std::uint64_t, mask_words_for(kMaxSpmmLanes)>;
-
-template <bool Atomic>
-void scatter_spmm_rows(const MultiWindowGraph& part, const WindowSpec& spec,
-                       const SpmmBatch& batch, SpmmWindowState& out,
-                       std::size_t lo, std::size_t hi) {
-  const std::size_t lanes = batch.lanes;
-  const std::size_t words = out.mask_words;
-  for (std::size_t v = lo; v < hi; ++v) {
-    const auto cols = part.in.row_cols(static_cast<VertexId>(v));
-    const auto times = part.in.row_times(static_cast<VertexId>(v));
-    RunMask v_mask{};
-    std::size_t i = 0;
-    while (i < cols.size()) {
-      const VertexId u = cols[i];
-      RunMask run_mask{};
-      while (i < cols.size() && cols[i] == u) {
-        lanes_containing_into(spec, batch, times[i], run_mask.data());
-        ++i;
-      }
-      if (!mask_any(run_mask.data(), words)) continue;
-      // u gains one distinct out-neighbor in every lane of run_mask.
-      for_each_set_lane(run_mask.data(), words, [&](std::size_t k) {
-        if constexpr (Atomic) {
-          std::atomic_ref<std::uint32_t> deg(out.out_degree[u * lanes + k]);
-          // relaxed: pure commutative count; published by the join.
-          deg.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++out.out_degree[u * lanes + k];
-        }
-      });
-      for (std::size_t w = 0; w < words; ++w) {
-        v_mask[w] |= run_mask[w];
-        if (run_mask[w] == 0) continue;
-        if constexpr (Atomic) {
-          std::atomic_ref<std::uint64_t> mask(out.active_mask[u * words + w]);
-          // relaxed: commutative bit-set; published by the join.
-          mask.fetch_or(run_mask[w], std::memory_order_relaxed);
-        } else {
-          out.active_mask[u * words + w] |= run_mask[w];
-        }
-      }
-    }
-    for (std::size_t w = 0; w < words; ++w) {
-      if (v_mask[w] == 0) continue;
-      if constexpr (Atomic) {
-        std::atomic_ref<std::uint64_t> mask(out.active_mask[v * words + w]);
-        // relaxed: commutative bit-set; published by the join.
-        mask.fetch_or(v_mask[w], std::memory_order_relaxed);
-      } else {
-        out.active_mask[v * words + w] |= v_mask[w];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
-                        const SpmmBatch& batch, SpmmWindowState& out,
-                        const par::ForOptions* parallel) {
-  // Release-mode check: an oversized lane count would index past the mask
-  // words (shift UB in release before PR 6's multi-word masks).
-  PMPR_CHECK_MSG(batch.lanes >= 1 && batch.lanes <= kMaxSpmmLanes,
-                 "SpMM batch lanes " << batch.lanes << " outside [1, "
-                                     << kMaxSpmmLanes << "]");
-  PMPR_CHECK_MSG(!part.is_compressed(),
-                 "compute_spmm_state reads the raw in-CSR; compressed "
-                 "parts require the streaming compile (compile_spmm_batch)");
-  const std::size_t n = part.num_local();
-  out.resize(n, batch.lanes);
-  if (parallel != nullptr) {
-    par::parallel_for_range(
-        0, n, *parallel, [&](std::size_t lo, std::size_t hi) {
-          scatter_spmm_rows<true>(part, spec, batch, out, lo, hi);
-        });
-  } else {
-    scatter_spmm_rows<false>(part, spec, batch, out, 0, n);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    for_each_set_lane(out.mask_of(v), out.mask_words,
-                      [&](std::size_t k) { ++out.num_active[k]; });
-  }
 }
 
 }  // namespace pmpr

@@ -1,7 +1,8 @@
 // Per-window derived state over a multi-window graph's local vertex space:
 // distinct out-degrees and the active vertex set, computed by one scatter
 // pass over the reverse temporal CSR. Computed once per window (or once per
-// SpMM batch for all lanes together) and reused across power iterations.
+// SpMM batch for all lanes together, by compile_spmm_batch in
+// pagerank/batch_csr.hpp) and reused across power iterations.
 #pragma once
 
 #include <cstdint>
@@ -75,12 +76,6 @@ struct SpmmWindowState {
     num_active.assign(num_lanes, 0);
   }
 };
-
-/// Computes degrees/activity for all lanes of `batch` in one pass over the
-/// part's temporal CSR (this shared pass is the SpMM saving).
-void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
-                        const SpmmBatch& batch, SpmmWindowState& out,
-                        const par::ForOptions* parallel = nullptr);
 
 /// Inclusive range of lanes whose window contains a timestamp. Because
 /// lanes are strided windows of one spec, the lanes containing any t form

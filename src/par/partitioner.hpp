@@ -35,13 +35,6 @@ enum class Partitioner {
   return "?";
 }
 
-/// Parses "auto" / "simple" / "static"; defaults to kAuto.
-[[nodiscard]] inline Partitioner parse_partitioner(std::string_view name) {
-  if (name == "simple") return Partitioner::kSimple;
-  if (name == "static") return Partitioner::kStatic;
-  return Partitioner::kAuto;
-}
-
 /// The chunk size a partitioner actually splits down to, for a range of `n`
 /// items on `threads` workers with requested grain `grain`.
 [[nodiscard]] inline std::size_t effective_grain(Partitioner p, std::size_t n,

@@ -1,5 +1,5 @@
 // Parallel-compile race coverage for the two-pass count/prefix/fill build
-// in batch_csr.cpp (and the scatter in window_state.cpp). These tests
+// in batch_csr.cpp (and the oracle's reference scatter). These tests
 // exist primarily to run under ThreadSanitizer — they are registered as
 // their own ctest binary so ci/sanitize.sh's TSan pass picks them up by
 // label. The atomicity contract they exercise is documented at the top of
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "pagerank/window_state.hpp"
 #include "test_helpers.hpp"
@@ -77,9 +78,9 @@ TEST(BatchCsrParallel, ComputeSpmmStateMatchesSerial) {
   batch.first_window = 0;
   batch.window_stride = 1;
   SpmmWindowState ref;
-  compute_spmm_state(part, spec, batch, ref);
+  oracle::compute_spmm_state(part, spec, batch, ref);
   SpmmWindowState par;
-  compute_spmm_state(part, spec, batch, par, &opts);
+  oracle::compute_spmm_state(part, spec, batch, par, &opts);
   EXPECT_EQ(ref.out_degree, par.out_degree);
   EXPECT_EQ(ref.active_mask, par.active_mask);
   EXPECT_EQ(ref.num_active, par.num_active);

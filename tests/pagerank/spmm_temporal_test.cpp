@@ -1,10 +1,11 @@
-#include "pagerank/spmm_temporal.hpp"
-
+// The reference SpMM kernel of the test oracle against brute force and
+// against the reference SpMV kernel. The compiled kernel the runner executes
+// is held bit-identical to it by oracle_differential_test.cpp.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "pagerank/spmv_temporal.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -36,7 +37,7 @@ std::vector<std::vector<double>> run_batch(
   const auto& part = f.set.part(0);
   const std::size_t n = part.num_local();
   SpmmWindowState state;
-  compute_spmm_state(part, f.spec, batch, state, parallel);
+  oracle::compute_spmm_state(part, f.spec, batch, state, parallel);
 
   std::vector<double> x(n * batch.lanes);
   std::vector<double> scratch(n * batch.lanes);
@@ -50,8 +51,8 @@ std::vector<std::vector<double>> run_batch(
           (state.active_mask[v] >> k & 1) != 0 ? uniform : 0.0;
     }
   }
-  pagerank_spmm(part, f.spec, batch, state, x, scratch, tight_params(),
-                parallel);
+  oracle::pagerank_spmm(part, f.spec, batch, state, x, scratch,
+                        tight_params(), parallel);
 
   std::vector<std::vector<double>> out(
       batch.lanes, std::vector<double>(f.events.num_vertices(), 0.0));
@@ -109,8 +110,8 @@ TEST(SpmmTemporal, MatchesSpmvPerWindow) {
     std::vector<double> x(part.num_local());
     std::vector<double> scratch(part.num_local());
     full_init(state.active, state.num_active, x);
-    pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), state, x,
-                         scratch, tight_params());
+    oracle::pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), state,
+                                 x, scratch, tight_params());
     std::vector<double> dense(f.events.num_vertices(), 0.0);
     for (VertexId v = 0; v < part.num_local(); ++v) {
       dense[part.global_of(v)] = x[v];
@@ -159,14 +160,14 @@ TEST(SpmmTemporal, EmptyLaneStaysZero) {
   const auto& part = set.part(0);
   SpmmBatch batch{.lanes = 2, .first_window = 0, .window_stride = 1};
   SpmmWindowState state;
-  compute_spmm_state(part, spec, batch, state);
+  oracle::compute_spmm_state(part, spec, batch, state);
   EXPECT_GT(state.num_active[0], 0u);
   EXPECT_EQ(state.num_active[1], 0u);
 
   const std::size_t n = part.num_local();
   std::vector<double> x(n * 2, 0.5);
   std::vector<double> scratch(n * 2);
-  pagerank_spmm(part, spec, batch, state, x, scratch, tight_params());
+  oracle::pagerank_spmm(part, spec, batch, state, x, scratch, tight_params());
   double lane0 = 0.0;
   for (std::size_t v = 0; v < n; ++v) {
     EXPECT_EQ(x[v * 2 + 1], 0.0);
@@ -180,7 +181,7 @@ TEST(SpmmTemporal, LaneIterationsReported) {
   SpmmBatch batch{.lanes = 4, .first_window = 0, .window_stride = 2};
   const auto& part = f.set.part(0);
   SpmmWindowState state;
-  compute_spmm_state(part, f.spec, batch, state);
+  oracle::compute_spmm_state(part, f.spec, batch, state);
   const std::size_t n = part.num_local();
   std::vector<double> x(n * 4);
   std::vector<double> scratch(n * 4);
@@ -195,7 +196,7 @@ TEST(SpmmTemporal, LaneIterationsReported) {
   PagerankParams p;
   p.tol = 1e-9;
   const SpmmStats stats =
-      pagerank_spmm(part, f.spec, batch, state, x, scratch, p);
+      oracle::pagerank_spmm(part, f.spec, batch, state, x, scratch, p);
   EXPECT_EQ(stats.lane_stats.size(), 4u);
   int max_lane_iters = 0;
   for (const auto& ls : stats.lane_stats) {

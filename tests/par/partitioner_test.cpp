@@ -9,13 +9,6 @@ TEST(Partitioner, ToStringRoundTrip) {
   EXPECT_EQ(to_string(Partitioner::kAuto), "auto");
   EXPECT_EQ(to_string(Partitioner::kSimple), "simple");
   EXPECT_EQ(to_string(Partitioner::kStatic), "static");
-  EXPECT_EQ(parse_partitioner("auto"), Partitioner::kAuto);
-  EXPECT_EQ(parse_partitioner("simple"), Partitioner::kSimple);
-  EXPECT_EQ(parse_partitioner("static"), Partitioner::kStatic);
-}
-
-TEST(Partitioner, UnknownNameDefaultsToAuto) {
-  EXPECT_EQ(parse_partitioner("bogus"), Partitioner::kAuto);
 }
 
 TEST(Partitioner, SimpleHonorsGrainExactly) {
