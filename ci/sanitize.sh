@@ -4,10 +4,12 @@
 #   1. ASan + UBSan: full test suite. Catches the out-of-bounds writes the
 #      loaders/builders are hardened against, plus lifetime bugs in the
 #      pointer-rich streaming structures.
-#   2. TSan: tests/par + tests/streaming + tests/obs. Gates the hand-rolled
-#      work-stealing pool (Chase-Lev deques, sleep/notify protocol), the
-#      streaming runner's use of it, and the telemetry layer's per-thread
-#      counter blocks / trace buffers under pool churn.
+#   2. TSan: tests/par + tests/streaming + tests/obs + batch_csr_par_test.
+#      Gates the hand-rolled work-stealing pool (Chase-Lev deques,
+#      sleep/notify protocol), the streaming runner's use of it, the
+#      telemetry layer's per-thread counter blocks / trace buffers under
+#      pool churn, and the parallel batch compile's atomic scatter on raw
+#      and compressed (paged-store) parts.
 #
 # Usage: ci/sanitize.sh [asan|tsan|all]      (default: all)
 #

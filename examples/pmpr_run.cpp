@@ -14,13 +14,34 @@
 // memory tracks appear as counter tracks under the span timeline.
 // ci/obs_smoke.sh validates both shapes; --mem-report prints the per-tag
 // table on stdout.
+#include <cmath>
 #include <cstdio>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "pmpr.hpp"
 
 using namespace pmpr;
+
+namespace {
+
+/// Rejects a bad flag value: one line on stderr, exit status 1.
+int reject(const std::string& why) {
+  std::fprintf(stderr, "pmpr_run: %s\n", why.c_str());
+  return 1;
+}
+
+/// The user-facing part of a name parser's exception: drops the failed
+/// check's source location that InvariantError puts in front.
+std::string reason(const std::exception& e) {
+  const std::string what = e.what();
+  const std::string::size_type at = what.find(" failed: ");
+  return at == std::string::npos ? what : what.substr(at + 9);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string model = "postmortem";
@@ -47,7 +68,7 @@ int main(int argc, char** argv) {
   Options opts("Run one execution model with telemetry enabled");
   opts.add("model", &model, "offline | streaming | postmortem");
   opts.add("max-lanes", &vector_length,
-           "postmortem SpMM lane width, 1..512 (0 = suggested config's "
+           "postmortem SpMM lane width, 0..512 (0 = suggested config's "
            "width)");
   opts.add("simd", &simd,
            "auto | scalar | avx2 | avx512 — ISA for the compiled SpMM "
@@ -55,8 +76,9 @@ int main(int argc, char** argv) {
            "run's resolved ISA lands in the metrics JSON as \"simd_isa\" "
            "and the simd_sweep_* counters record per-ISA sweep invocations");
   opts.add("storage", &storage,
-           "postmortem representation: in-ram | compressed | out-of-core "
-           "(ranks are bit-identical across all three)");
+           "postmortem representation: in-ram | out-of-core (ranks are "
+           "bit-identical across the two; out-of-core with a budget that "
+           "holds the whole store keeps every part compressed in RAM)");
   opts.add("memory-budget-mb", &memory_budget_mb,
            "out-of-core: hard cap on resident compressed payload, in MiB "
            "(0 = page one part at a time)");
@@ -71,7 +93,8 @@ int main(int argc, char** argv) {
   opts.add("seed", &seed, "generator seed");
   opts.add("delta-days", &delta_days, "window size in days");
   opts.add("sw", &sw, "sliding offset in seconds");
-  opts.add("max-windows", &max_windows, "cap on the number of windows");
+  opts.add("max-windows", &max_windows,
+           "cap on the number of windows (>= 1)");
   opts.add("trace", &trace_path,
            "write a Chrome trace-event JSON (Perfetto-loadable) here");
   opts.add("metrics", &metrics_path,
@@ -96,22 +119,68 @@ int main(int argc, char** argv) {
            "SIGFPE a pmpr-crash-<pid>.json postmortem lands here (also "
            "enables the flight recorder)");
   if (!opts.parse(argc, argv)) return opts.saw_help() ? 0 : 1;
+  // Every flag is checked here, before any work: a bad value exits 1 with
+  // one line instead of aborting, wrapping around, or silently falling
+  // back to a default.
   if (model != "offline" && model != "streaming" && model != "postmortem") {
-    std::fprintf(stderr, "unknown --model '%s'\n", model.c_str());
-    return 1;
+    return reject("unknown --model '" + model +
+                  "' (expected offline, streaming, postmortem)");
+  }
+  if (!(scale > 0.0) || !std::isfinite(scale)) {
+    return reject("--scale " + std::to_string(scale) +
+                  " must be a finite value > 0");
+  }
+  const std::int64_t max_delta_days =
+      std::numeric_limits<std::int64_t>::max() / duration::kDay;
+  if (delta_days < 0 || delta_days > max_delta_days) {
+    return reject("--delta-days " + std::to_string(delta_days) +
+                  " out of range [0, " + std::to_string(max_delta_days) +
+                  "]");
+  }
+  if (sw < 1) return reject("--sw " + std::to_string(sw) + " must be >= 1");
+  if (max_windows < 1) {
+    return reject("--max-windows " + std::to_string(max_windows) +
+                  " must be >= 1");
   }
   if (vector_length < 0 ||
       vector_length > static_cast<std::int64_t>(kMaxSpmmLanes)) {
     // Fail fast rather than letting the runner clamp: a silently narrowed
     // batch would make a mistyped width look like a perf regression.
-    std::fprintf(stderr, "--max-lanes %lld out of range [1, %zu]\n",
-                 static_cast<long long>(vector_length), kMaxSpmmLanes);
-    return 1;
+    return reject("--max-lanes " + std::to_string(vector_length) +
+                  " out of range [0, " + std::to_string(kMaxSpmmLanes) +
+                  "] (0 = suggested width)");
   }
-  // Resolved before any work, so a forced ISA the host lacks fails fast for
-  // every model, not only for the postmortem sweeps that use it.
-  const SimdMode simd_mode = parse_simd_mode(simd);
-  (void)resolve_simd(simd_mode);
+  if (parts < 0) {
+    return reject("--parts " + std::to_string(parts) +
+                  " must be >= 0 (0 = suggested count)");
+  }
+  if (memory_budget_mb < 0 ||
+      static_cast<std::uint64_t>(memory_budget_mb) >
+          std::numeric_limits<std::size_t>::max() / (1024 * 1024)) {
+    return reject("--memory-budget-mb " + std::to_string(memory_budget_mb) +
+                  " must be >= 0 and fit in bytes (0 = one part at a time)");
+  }
+  if (profile_interval_ms < 1) {
+    return reject("--profile-interval-ms " +
+                  std::to_string(profile_interval_ms) + " must be >= 1");
+  }
+  if (watchdog_ms < 0) {
+    return reject("--watchdog-ms " + std::to_string(watchdog_ms) +
+                  " must be >= 0 (0 = off)");
+  }
+  SimdMode simd_mode = SimdMode::kAuto;
+  StorageKind storage_kind = StorageKind::kInRam;
+  const gen::DatasetSpec* dataset_spec = nullptr;
+  try {
+    // The ISA is resolved here too, so a forced ISA the host lacks fails
+    // fast for every model, not only for the postmortem sweeps that use it.
+    simd_mode = parse_simd_mode(simd);
+    (void)resolve_simd(simd_mode);
+    storage_kind = parse_storage_kind(storage);
+    dataset_spec = &gen::dataset_by_name(dataset);
+  } catch (const std::exception& e) {
+    return reject(reason(e));
+  }
 
   // Counters, histograms, and per-iteration metrics always on here (this
   // binary exists to show them); tracing only when a --trace path was
@@ -138,8 +207,7 @@ int main(int argc, char** argv) {
   }
   obs::set_thread_name("main");
 
-  const gen::DatasetSpec spec =
-      gen::scaled(gen::dataset_by_name(dataset), scale);
+  const gen::DatasetSpec spec = gen::scaled(*dataset_spec, scale);
   const TemporalEdgeList events =
       gen::generate(spec, static_cast<std::uint64_t>(seed));
   const WindowSpec windows = WindowSpec::cover_capped(
@@ -152,9 +220,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::Sampler> sampler;
   if (profile) {
     obs::SamplerOptions sampler_opts;
-    sampler_opts.interval =
-        std::chrono::milliseconds(profile_interval_ms > 0 ? profile_interval_ms
-                                                          : 10);
+    sampler_opts.interval = std::chrono::milliseconds(profile_interval_ms);
     sampler = std::make_unique<obs::Sampler>(par::ThreadPool::global(),
                                              sampler_opts);
     sampler->start();
@@ -181,7 +247,7 @@ int main(int argc, char** argv) {
     if (vector_length > 0) {
       config.vector_length = static_cast<std::size_t>(vector_length);
     }
-    config.storage = parse_storage_kind(storage);
+    config.storage = storage_kind;
     config.memory_budget_bytes =
         static_cast<std::size_t>(memory_budget_mb) * 1024 * 1024;
     config.spill_path = spill_path;

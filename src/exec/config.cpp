@@ -28,8 +28,6 @@ std::string_view to_string(StorageKind s) {
   switch (s) {
     case StorageKind::kInRam:
       return "in-ram";
-    case StorageKind::kCompressed:
-      return "compressed";
     case StorageKind::kOutOfCore:
       return "out-of-core";
   }
@@ -38,13 +36,12 @@ std::string_view to_string(StorageKind s) {
 
 StorageKind parse_storage_kind(std::string_view name) {
   if (name == "in-ram" || name == "ram") return StorageKind::kInRam;
-  if (name == "compressed") return StorageKind::kCompressed;
   if (name == "out-of-core" || name == "oocore") return StorageKind::kOutOfCore;
   // A typo must not fall back: a user who asked for out-of-core and
   // silently got in-RAM OOMs instead of paging.
   PMPR_CHECK_MSG(false, "unknown storage kind '"
                             << name
-                            << "' (expected in-ram, compressed, out-of-core)");
+                            << "' (expected in-ram, out-of-core)");
 }
 
 WorkloadProfile WorkloadProfile::from_window_edges(

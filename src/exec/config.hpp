@@ -29,23 +29,21 @@ enum class KernelKind { kSpmv, kSpmm };
 /// How the multi-window representation is stored while computing.
 enum class StorageKind {
   /// Raw temporal CSR arrays, all parts resident (the seed behavior and
-  /// the ablation baseline for the compressed paths).
+  /// the ablation baseline for the compressed store).
   kInRam,
-  /// Chunked delta+varint parts, all resident; the compile passes stream
-  /// from the chunks (io/compressed_csr.hpp) — the raw arrays never exist
-  /// after the build.
-  kCompressed,
-  /// Compressed parts serialized to an mmap-backed store file and paged
-  /// in/out under config.memory_budget_bytes
-  /// (graph/paged_multi_window.hpp).
+  /// Chunked delta+varint parts (io/compressed_csr.hpp) serialized to an
+  /// mmap-backed store file and paged in/out under
+  /// config.memory_budget_bytes (graph/paged_multi_window.hpp); the
+  /// compile passes stream from the chunks. A budget that holds the whole
+  /// store keeps every part compressed in RAM and never evicts.
   kOutOfCore,
 };
 
 [[nodiscard]] std::string_view to_string(ParallelMode m);
 [[nodiscard]] std::string_view to_string(KernelKind k);
 [[nodiscard]] std::string_view to_string(StorageKind s);
-/// Parses "in-ram" / "compressed" / "out-of-core"; throws InvariantError on
-/// any other name.
+/// Parses "in-ram" / "out-of-core"; throws InvariantError on any other
+/// name.
 StorageKind parse_storage_kind(std::string_view name);
 
 struct PostmortemConfig {
@@ -68,9 +66,8 @@ struct PostmortemConfig {
   /// recorded in RunResult::simd_isa.
   SimdMode simd = SimdMode::kAuto;
   bool partial_init = true;
-  /// Representation storage: raw in-RAM (default), compressed in-RAM, or
-  /// the mmap-backed out-of-core store. Ranks are bit-identical across all
-  /// three.
+  /// Representation storage: raw in-RAM (default) or the mmap-backed
+  /// out-of-core store. Ranks are bit-identical across the two.
   StorageKind storage = StorageKind::kInRam;
   /// kOutOfCore only: hard cap on resident compressed payload bytes. 0 =
   /// "one part at a time" (the cap adjusts to the largest part).

@@ -572,7 +572,6 @@ RunResult run_postmortem(const TemporalEdgeList& events,
     PMPR_PHASE(obs::Phase::kBuild, "postmortem.build_representation", 0);
     MultiWindowSet s = MultiWindowSet::build(
         events, spec, config.num_multi_windows, config.partition_policy);
-    if (config.storage == StorageKind::kCompressed) s.compress_in_place();
     build_seconds = build_timer.seconds();
     return s;
   }();

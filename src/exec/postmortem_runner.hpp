@@ -19,17 +19,17 @@ namespace pmpr {
 
 /// Builds the multi-window representation (timed as build_seconds) and runs
 /// the analysis. `events` must be time-sorted. config.storage picks the
-/// representation: raw in-RAM, compressed in-RAM (chunk-streaming compile),
-/// or the mmap-backed out-of-core store paged under
-/// config.memory_budget_bytes. Ranks are bit-identical across the three.
+/// representation: raw in-RAM, or the mmap-backed out-of-core store paged
+/// under config.memory_budget_bytes (chunk-streaming compile; a budget that
+/// holds the store keeps every compressed part resident). Ranks are
+/// bit-identical across the two.
 RunResult run_postmortem(const TemporalEdgeList& events,
                          const WindowSpec& spec, ResultSink& sink,
                          const PostmortemConfig& config);
 
 /// Runs on an already-built representation (build_seconds = 0). Benchmarks
 /// use this to sweep execution parameters without re-paying construction.
-/// Honors compressed parts (set.compress_in_place()) but not
-/// StorageKind::kOutOfCore — use run_postmortem_paged for that.
+/// Rejects StorageKind::kOutOfCore — use run_postmortem_paged for that.
 RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
                                   const PostmortemConfig& config);
 

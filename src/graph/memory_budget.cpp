@@ -96,22 +96,4 @@ std::size_t suggest_num_multi_windows(const TemporalEdgeList& events,
   return std::min<std::size_t>(y, spec.count);
 }
 
-std::size_t suggest_num_parts_for_budget(const TemporalEdgeList& events,
-                                         const WindowSpec& spec,
-                                         std::size_t budget_bytes,
-                                         std::size_t vector_length,
-                                         std::size_t contexts) {
-  contexts = std::max<std::size_t>(1, contexts);
-  std::size_t y = 1;
-  while (y < spec.count) {
-    const MemoryEstimate est =
-        predict_memory(events, spec, y, vector_length);
-    const std::size_t resident =
-        est.largest_part_bytes + contexts * est.working_bytes_per_context;
-    if (resident <= budget_bytes) return y;
-    y *= 2;
-  }
-  return std::min<std::size_t>(y, spec.count);
-}
-
 }  // namespace pmpr

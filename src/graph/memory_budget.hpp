@@ -58,16 +58,4 @@ std::size_t suggest_num_multi_windows(const TemporalEdgeList& events,
                                       std::size_t vector_length,
                                       std::size_t contexts);
 
-/// Out-of-core sizing rule for the paged store
-/// (graph/paged_multi_window.hpp): the smallest number of parts whose
-/// *largest single part* — its representation plus `contexts` concurrent
-/// working sets — fits `budget_bytes`. Unlike suggest_num_multi_windows,
-/// the sum over parts is irrelevant: evicted parts cost nothing resident.
-/// Returns spec.count if even the maximum decomposition does not fit.
-std::size_t suggest_num_parts_for_budget(const TemporalEdgeList& events,
-                                         const WindowSpec& spec,
-                                         std::size_t budget_bytes,
-                                         std::size_t vector_length,
-                                         std::size_t contexts);
-
 }  // namespace pmpr

@@ -15,13 +15,6 @@ VertexId MultiWindowGraph::local_of(VertexId global) const {
   return static_cast<VertexId>(it - local_to_global.begin());
 }
 
-void MultiWindowGraph::compress(std::size_t target_chunk_entries) {
-  if (is_compressed()) return;
-  in_compressed = std::make_shared<const io::CompressedTemporalCsr>(
-      compress_temporal_csr(in, target_chunk_entries));
-  in = TemporalCsr{};
-}
-
 MultiWindowGraph build_multi_window_part(std::span<const TemporalEdge> slice,
                                          std::size_t first_window,
                                          std::size_t num_windows,
@@ -163,28 +156,6 @@ MultiWindowSet MultiWindowSet::build(const TemporalEdgeList& events,
   std::erase_if(set.parts_,
                 [](const MultiWindowGraph& g) { return g.num_windows == 0; });
   return set;
-}
-
-MultiWindowSet MultiWindowSet::adopt(const WindowSpec& spec,
-                                     VertexId num_global,
-                                     std::vector<MultiWindowGraph> parts) {
-  spec.validate();
-  PMPR_CHECK_MSG(!parts.empty(), "adopt needs at least one part");
-  MultiWindowSet set;
-  set.spec_ = spec;
-  set.num_global_ = num_global;
-  set.parts_ = std::move(parts);
-  return set;
-}
-
-void MultiWindowSet::compress_in_place(std::size_t target_chunk_entries) {
-  par::TaskGroup group;
-  for (auto& part : parts_) {
-    group.run([&part, target_chunk_entries] {
-      part.compress(target_chunk_entries);
-    });
-  }
-  group.wait();
 }
 
 std::size_t MultiWindowSet::part_index_for_window(std::size_t w) const {

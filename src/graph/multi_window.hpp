@@ -42,17 +42,14 @@ struct MultiWindowGraph {
   /// compressed (in_compressed replaces it).
   TemporalCsr in;
 
-  /// Chunked delta+varint form of `in` (io/compressed_csr.hpp) — either an
-  /// owning re-encoding (compress()) or a zero-copy view into the paged
-  /// store's mmap (graph/paged_multi_window.hpp). When set, `in` is empty
-  /// and the batch-compile passes stream from the chunks; code that reads
-  /// `in` directly (compute_window_state) rejects such a part.
+  /// Chunked delta+varint form of `in` (io/compressed_csr.hpp): a
+  /// zero-copy view into the paged store's mmap, set only on the store's
+  /// leased parts (graph/paged_multi_window.hpp). When set, `in` is empty
+  /// and the batch compile's row walker streams from the chunks; code that
+  /// reads `in` directly (compute_window_state) rejects such a part.
   std::shared_ptr<const io::CompressedTemporalCsr> in_compressed;
 
   [[nodiscard]] bool is_compressed() const { return in_compressed != nullptr; }
-
-  /// Re-encodes `in` with the chunked codec and drops the raw arrays.
-  void compress(std::size_t target_chunk_entries = io::kDefaultChunkEntries);
 
   [[nodiscard]] VertexId num_local() const {
     return static_cast<VertexId>(local_to_global.size());
@@ -118,19 +115,6 @@ class MultiWindowSet {
       const TemporalEdgeList& events, const WindowSpec& spec,
       std::size_t num_parts,
       PartitionPolicy policy = PartitionPolicy::kUniformWindows);
-
-  /// Assembles a set from pre-built parts (the paged store maps its parts
-  /// from the store file and adopts them here so the postmortem driver
-  /// sees one uniform interface). Parts must already cover the spec
-  /// contiguously — validate() audits, adopt() only spot-checks shape.
-  static MultiWindowSet adopt(const WindowSpec& spec, VertexId num_global,
-                              std::vector<MultiWindowGraph> parts);
-
-  /// Re-encodes every part's in-adjacency with the chunked delta+varint
-  /// codec and drops the raw arrays (MultiWindowGraph::compress). The
-  /// postmortem compile passes then stream from the chunks.
-  void compress_in_place(
-      std::size_t target_chunk_entries = io::kDefaultChunkEntries);
 
   [[nodiscard]] const WindowSpec& spec() const { return spec_; }
   [[nodiscard]] VertexId num_global_vertices() const { return num_global_; }

@@ -24,8 +24,8 @@ namespace pmpr {
 /// Calls `fn(u)` once per distinct neighbor u in a ⟨neighbor, time⟩-sorted
 /// row (given as parallel col/time spans) with at least one event in
 /// [ts, te]. Shared by TemporalCsr::for_each_active_neighbor and the
-/// compressed-chunk streaming passes (pagerank/batch_csr.cpp), which apply
-/// it to rows decoded into io::DecodeScratch without materializing a CSR.
+/// window compile (pagerank/batch_csr.cpp), whose row walker also hands it
+/// rows decoded into io::DecodeScratch without materializing a CSR.
 template <typename Fn>
 void for_each_active_neighbor_in_row(std::span<const VertexId> cols,
                                      std::span<const Timestamp> times,

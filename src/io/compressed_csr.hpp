@@ -1,6 +1,6 @@
 // Chunked delta+varint compression of the temporal CSR adjacency — the
-// storage format behind compressed in-RAM parts and the mmap-backed
-// out-of-core multi-window store (graph/paged_multi_window.hpp).
+// storage format of the mmap-backed out-of-core multi-window store
+// (graph/paged_multi_window.hpp).
 //
 // Rows are grouped into *chunks* of roughly target_chunk_entries adjacency
 // entries (whole rows, never split). Each chunk records its entry-count /

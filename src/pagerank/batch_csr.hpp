@@ -2,7 +2,7 @@
 // SpMM batch (or a single window) compiled into the representation once.
 //
 // The reference kernels (kept as a test oracle under tests/oracle/)
-// re-derive each event's lane membership (lanes_containing ->
+// re-derive each event's lane membership (lanes_containing_into ->
 // WindowSpec::windows_containing) and re-scan duplicate <neighbor, time>
 // runs on every edge of every power iteration, and sweep all n rows even
 // when the batch touches a fraction of them.
@@ -106,13 +106,15 @@ struct CompiledBatchCsr {
 /// `parallel` runs the row passes as parallel_fors. Throws InvariantError
 /// when batch.lanes is outside [1, kMaxSpmmLanes].
 ///
-/// Compressed parts (part.is_compressed()) stream: the passes decode one
-/// chunk at a time into scratch — the raw CSR is never materialized — and
-/// skip chunks whose time extent misses the batch's lane windows
-/// (obs kChunksDecoded / kChunksPruned). The per-row arithmetic is shared
-/// with the raw path, so the compiled form and `state` are bit-identical.
-/// `scratch` (serial path only; the parallel path allocates per callback)
-/// lets callers reuse decode buffers across batches; null uses a local.
+/// One row walker reads the part's storage for every pass. Compressed
+/// parts (the paged store's leases, part.is_compressed()) stream: the walker
+/// decodes one chunk at a time into scratch — the raw CSR is never
+/// materialized — and skips chunks whose time extent misses the batch's
+/// lane windows (obs kChunksDecoded / kChunksPruned). Raw and decoded rows
+/// go through the same per-row code, so the compiled form and `state` are
+/// bit-identical. `scratch` (serial path only; the parallel path allocates
+/// per callback) lets callers reuse decode buffers across batches; null
+/// uses a local.
 void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
                         const SpmmBatch& batch, SpmmWindowState& state,
                         CompiledBatchCsr& out,

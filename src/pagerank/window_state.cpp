@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 
 #include "util/check.hpp"
 
@@ -100,14 +99,6 @@ void lanes_containing_into(const WindowSpec& spec, const SpmmBatch& batch,
                            Timestamp t, std::uint64_t* words) {
   const LaneSpan span = lane_span_containing(spec, batch, t);
   if (!span.empty()) mask_set_range(words, span.lo, span.hi);
-}
-
-std::uint64_t lanes_containing(const WindowSpec& spec, const SpmmBatch& batch,
-                               Timestamp t) {
-  assert(batch.lanes <= 64);
-  std::uint64_t word = 0;
-  lanes_containing_into(spec, batch, t, &word);
-  return word;
 }
 
 }  // namespace pmpr

@@ -96,8 +96,4 @@ LaneSpan lane_span_containing(const WindowSpec& spec, const SpmmBatch& batch,
 void lanes_containing_into(const WindowSpec& spec, const SpmmBatch& batch,
                            Timestamp t, std::uint64_t* words);
 
-/// Single-word variant for batches of at most 64 lanes. Exposed for tests.
-std::uint64_t lanes_containing(const WindowSpec& spec, const SpmmBatch& batch,
-                               Timestamp t);
-
 }  // namespace pmpr

@@ -1,8 +1,10 @@
-// Storage-kind differential: in-RAM, compressed-in-RAM, and out-of-core
-// postmortem runs must produce bit-identical per-window rank vectors on
-// every execution model. Comparisons use exact double equality — the
-// chunk-streaming compile reproduces the raw compile's structures exactly,
-// so the kernels execute the same floating-point sequence.
+// Storage-kind differential: in-RAM and out-of-core postmortem runs must
+// produce bit-identical per-window rank vectors on every execution model,
+// both under the harshest budget (one part at a time) and under a budget
+// that holds the whole store (every part compressed in RAM, no eviction).
+// Comparisons use exact double equality — the chunk-streaming compile
+// reproduces the raw compile's structures exactly, so the kernels execute
+// the same floating-point sequence.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -58,11 +60,6 @@ void expect_storage_kinds_agree(KernelKind kernel, ParallelMode mode,
   cfg.storage = StorageKind::kInRam;
   run_postmortem(s.events, s.spec, in_ram, cfg);
 
-  StoreAllSink compressed(s.spec.count);
-  cfg.storage = StorageKind::kCompressed;
-  run_postmortem(s.events, s.spec, compressed, cfg);
-  expect_same_series(compressed, in_ram, label);
-
   StoreAllSink oocore(s.spec.count);
   cfg.storage = StorageKind::kOutOfCore;
   cfg.memory_budget_bytes = 0;  // harshest paging: one part at a time
@@ -73,6 +70,15 @@ void expect_storage_kinds_agree(KernelKind kernel, ParallelMode mode,
   EXPECT_GT(result.oocore_resident_peak_bytes, 0u) << label;
   EXPECT_LE(result.oocore_resident_peak_bytes, result.oocore_store_bytes)
       << label;
+
+  // A budget of the whole store: every part stays compressed in RAM.
+  obs::set_counters_enabled(true);
+  StoreAllSink resident(s.spec.count);
+  cfg.memory_budget_bytes = result.oocore_store_bytes;
+  const RunResult whole = run_postmortem(s.events, s.spec, resident, cfg);
+  expect_same_series(resident, in_ram, label);
+  EXPECT_EQ(whole.counters[obs::Counter::kPartsEvicted], 0u) << label;
+  EXPECT_EQ(whole.counters[obs::Counter::kPartRefaults], 0u) << label;
 }
 
 TEST(StorageDifferential, SpmmPagerankMode) {
@@ -128,22 +134,6 @@ TEST(StorageDifferential, PrebuiltRejectsOutOfCore) {
   cfg.storage = StorageKind::kOutOfCore;
   StoreAllSink sink(s.spec.count);
   EXPECT_THROW(run_postmortem_prebuilt(set, sink, cfg), InvariantError);
-}
-
-TEST(StorageDifferential, PrebuiltHonorsCompressedSets) {
-  const Scenario s = scenario();
-  PostmortemConfig cfg = base_config(KernelKind::kSpmm,
-                                     ParallelMode::kPagerank);
-  const MultiWindowSet raw = MultiWindowSet::build(s.events, s.spec, 3);
-  StoreAllSink ref(s.spec.count);
-  run_postmortem_prebuilt(raw, ref, cfg);
-
-  MultiWindowSet packed = MultiWindowSet::build(s.events, s.spec, 3);
-  packed.compress_in_place();
-  StoreAllSink sink(s.spec.count);
-  const RunResult result = run_postmortem_prebuilt(packed, sink, cfg);
-  expect_same_series(sink, ref, "prebuilt-compressed");
-  EXPECT_GT(result.representation_bytes, 0u);
 }
 
 TEST(StorageDifferential, PagedRunnerEntryPoint) {

@@ -1,11 +1,13 @@
 // Parallel-compile race coverage for the two-pass count/prefix/fill build
-// in batch_csr.cpp (and the oracle's reference scatter). These tests
-// exist primarily to run under ThreadSanitizer — they are registered as
-// their own ctest binary so ci/sanitize.sh's TSan pass picks them up by
-// label. The atomicity contract they exercise is documented at the top of
-// count_and_scatter_rows: row_ptr[v+1] is row-owned (plain stores in both
-// paths); out_degree and active_mask are cross-row scatters and use
-// std::atomic_ref in the parallel path only.
+// in batch_csr.cpp (and the oracle's reference scatter), on raw parts and
+// on compressed parts leased from the out-of-core store. These tests exist
+// primarily to run under ThreadSanitizer — they are registered as their
+// own ctest binary so ci/sanitize.sh's TSan pass picks them up by label.
+// The atomicity contract they exercise is documented at scatter_row:
+// row_ptr[v+1] is row-owned (plain stores in both paths); out_degree,
+// active_mask and the SpMV active flags are cross-row scatters and use
+// std::atomic_ref in the parallel path only. The compressed parts add the
+// row walker's per-callback decode scratch and chunk-counter flushes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -50,20 +52,49 @@ TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
   const TemporalEdgeList events = test::random_events(7001, 60, 4000, 50000);
   const WindowSpec spec{.t0 = 0, .delta = 6000, .sw = 45, .count = 1100};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
-  const auto& part = set.part(0);
+  // Small chunks so the compressed part's chunk-parallel passes split too.
+  const test::PinnedStore packed(events, spec, 1, /*chunk_entries=*/64);
   // Fine grain to force many chunks (and thus real concurrency under
   // TSan) even on small row counts.
   par::ForOptions opts{par::Partitioner::kSimple, 1, nullptr};
-  for (const std::size_t lanes : {std::size_t{16}, std::size_t{64},
-                                  std::size_t{65}, std::size_t{192},
-                                  std::size_t{512}}) {
-    SpmmBatch batch;
-    batch.lanes = lanes;
-    batch.first_window = 0;
-    batch.window_stride = 1;
-    const Built ref = build(part, spec, batch, nullptr);
-    const Built par = build(part, spec, batch, &opts);
-    expect_equal(ref, par);
+  for (const MultiWindowGraph* part : {&set.part(0), &packed.part(0)}) {
+    for (const std::size_t lanes : {std::size_t{16}, std::size_t{64},
+                                    std::size_t{65}, std::size_t{192},
+                                    std::size_t{512}}) {
+      SpmmBatch batch;
+      batch.lanes = lanes;
+      batch.first_window = 0;
+      batch.window_stride = 1;
+      const Built ref = build(*part, spec, batch, nullptr);
+      const Built par = build(*part, spec, batch, &opts);
+      expect_equal(ref, par);
+    }
+  }
+}
+
+TEST(BatchCsrParallel, WindowCompileMatchesSerial) {
+  const TemporalEdgeList events = test::random_events(7304, 60, 4000, 50000);
+  const WindowSpec spec = WindowSpec::cover(0, 50000, 9000, 4000);
+  const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
+  const test::PinnedStore packed(events, spec, 1, /*chunk_entries=*/64);
+  par::ForOptions opts{par::Partitioner::kSimple, 1, nullptr};
+  for (const MultiWindowGraph* part : {&set.part(0), &packed.part(0)}) {
+    for (std::size_t w = 0; w < spec.count; ++w) {
+      WindowState ref_state;
+      CompiledWindowCsr ref;
+      compile_window(*part, spec.start(w), spec.end(w), ref_state, ref);
+      WindowState state;
+      CompiledWindowCsr compiled;
+      compile_window(*part, spec.start(w), spec.end(w), state, compiled,
+                     &opts);
+      EXPECT_EQ(state.out_degree, ref_state.out_degree) << "window " << w;
+      EXPECT_EQ(state.active, ref_state.active) << "window " << w;
+      EXPECT_EQ(state.num_active, ref_state.num_active) << "window " << w;
+      EXPECT_EQ(compiled.row_ptr, ref.row_ptr) << "window " << w;
+      EXPECT_EQ(compiled.nbr, ref.nbr) << "window " << w;
+      EXPECT_EQ(compiled.active_rows, ref.active_rows) << "window " << w;
+      EXPECT_EQ(compiled.dangling_rows, ref.dangling_rows) << "window " << w;
+    }
   }
 }
 

@@ -74,7 +74,7 @@ TEST(CompileSpmmBatch, EntriesAreDistinctRunsWithNonzeroMasks) {
       std::uint64_t expect = 0;
       for (std::size_t j = 0; j < cols.size(); ++j) {
         if (cols[j] == nbr[i]) {
-          expect |= lanes_containing(f.spec, batch, times[j]);
+          lanes_containing_into(f.spec, batch, times[j], &expect);
         }
       }
       EXPECT_EQ(mask[i], expect) << "v=" << v << " u=" << nbr[i];

@@ -1,8 +1,8 @@
-// Differential tests for the chunk-streaming compile paths: a compressed
-// part (compress_in_place / MultiWindowGraph::compress) must yield a
-// bit-identical CompiledBatchCsr / CompiledWindowCsr and window state to
-// the raw-CSR compile — that equality is what makes the storage kinds
-// interchangeable end to end.
+// Differential tests for the chunk-streaming compile: a compressed part
+// (leased from an out-of-core store whose budget holds every part) must
+// yield a bit-identical CompiledBatchCsr / CompiledWindowCsr and window
+// state to the raw-CSR compile — that equality is what makes the storage
+// kinds interchangeable end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,15 +21,13 @@ struct Fixture {
   TemporalEdgeList events;
   WindowSpec spec;
   MultiWindowSet raw;
-  MultiWindowSet packed;
+  test::PinnedStore packed;
 
   explicit Fixture(std::uint64_t seed, std::size_t chunk_entries = 256)
       : events(test::random_events(seed, 60, 4000, 40000)),
         spec(WindowSpec::cover(0, 40000, 9000, 1500)),
         raw(MultiWindowSet::build(events, spec, 2)),
-        packed(MultiWindowSet::build(events, spec, 2)) {
-    packed.compress_in_place(chunk_entries);
-  }
+        packed(events, spec, 2, chunk_entries) {}
 };
 
 SpmmBatch batch_for(const WindowSpec& spec, std::size_t lanes,
@@ -61,6 +59,7 @@ void expect_same_spmm_state(const SpmmWindowState& a,
 
 TEST(CompressedCompile, SpmmBatchBitIdenticalToRaw) {
   const Fixture f(404);
+  ASSERT_EQ(f.packed.num_parts(), f.raw.num_parts());
   for (std::size_t p = 0; p < f.raw.num_parts(); ++p) {
     ASSERT_TRUE(f.packed.part(p).is_compressed());
     const SpmmBatch batch = batch_for(f.spec, 8, f.raw.part(p).first_window,
@@ -137,7 +136,8 @@ TEST(CompressedCompile, PrunesChunksOutsideTheWindow) {
   // rows' full time spans — pruning only fires when rows are temporally
   // localized. Give each vertex a narrow per-row time band marching across
   // [0, 4707]: with 8-entry rows and 64-entry chunks, each chunk covers an
-  // ~800-wide band, and most bands fall wholly outside the first window.
+  // ~800-wide band, and most bands fall wholly outside the first window
+  // (and the late ones outside the two-lane batch's [0, 3000] as well).
   TemporalEdgeList events;
   for (VertexId v = 0; v < 48; ++v) {
     for (Timestamp k = 0; k < 8; ++k) {
@@ -146,24 +146,41 @@ TEST(CompressedCompile, PrunesChunksOutsideTheWindow) {
   }
   events.sort_by_time();
   const WindowSpec spec{0, 2000, 1000, 4};
-  MultiWindowSet packed = MultiWindowSet::build(events, spec, 1);
-  packed.compress_in_place(/*target_chunk_entries=*/64);
+  const test::PinnedStore packed(events, spec, 1, /*chunk_entries=*/64);
+  const MultiWindowSet raw = MultiWindowSet::build(events, spec, 1);
   obs::set_counters_enabled(true);
-  const obs::CounterSnapshot before = obs::counters_snapshot();
+  const auto expect_pruned = [](const obs::CounterSnapshot& before,
+                                const char* label) {
+    const obs::CounterSnapshot delta =
+        obs::counters_snapshot().delta_since(before);
+    EXPECT_GT(delta[obs::Counter::kChunksPruned], 0u) << label;
+    EXPECT_GT(delta[obs::Counter::kChunksDecoded], 0u) << label;
+  };
+
+  obs::CounterSnapshot before = obs::counters_snapshot();
   WindowState state;
   CompiledWindowCsr compiled;
   compile_window(packed.part(0), spec.start(0), spec.end(0), state, compiled);
-  const obs::CounterSnapshot delta =
-      obs::counters_snapshot().delta_since(before);
-  EXPECT_GT(delta[obs::Counter::kChunksPruned], 0u);
-  EXPECT_GT(delta[obs::Counter::kChunksDecoded], 0u);
+  expect_pruned(before, "window 0");
   // Pruning must not change the result.
   WindowState ref_state;
   CompiledWindowCsr ref;
-  const MultiWindowSet raw = MultiWindowSet::build(events, spec, 1);
   compile_window(raw.part(0), spec.start(0), spec.end(0), ref_state, ref);
   EXPECT_EQ(compiled.nbr, ref.nbr);
   EXPECT_EQ(compiled.active_rows, ref.active_rows);
+
+  // An SpMM batch prunes against the union of its lanes' windows.
+  const SpmmBatch batch = batch_for(spec, 2, 0, 1);
+  before = obs::counters_snapshot();
+  SpmmWindowState spmm_state;
+  CompiledBatchCsr spmm;
+  compile_spmm_batch(packed.part(0), spec, batch, spmm_state, spmm);
+  expect_pruned(before, "batch of windows 0-1");
+  SpmmWindowState spmm_ref_state;
+  CompiledBatchCsr spmm_ref;
+  compile_spmm_batch(raw.part(0), spec, batch, spmm_ref_state, spmm_ref);
+  expect_same_batch(spmm, spmm_ref);
+  expect_same_spmm_state(spmm_state, spmm_ref_state);
 }
 
 TEST(CompressedCompile, ReferenceStateComputationRejectsCompressedParts) {
@@ -181,9 +198,13 @@ TEST(CompressedCompile, ReferenceStateComputationRejectsCompressedParts) {
 
 TEST(CompressedCompile, CompressedSetValidatesAndShrinks) {
   const Fixture f(1010);
-  f.packed.validate();  // decodes and audits every part
-  EXPECT_LT(f.packed.memory_bytes(), f.raw.memory_bytes());
-  EXPECT_EQ(f.packed.total_events(), f.raw.total_events());
+  ASSERT_EQ(f.packed.num_parts(), f.raw.num_parts());
+  for (std::size_t p = 0; p < f.raw.num_parts(); ++p) {
+    f.packed.part(p).validate();  // decodes and audits the part
+    EXPECT_LT(f.packed.part(p).memory_bytes(), f.raw.part(p).memory_bytes());
+    EXPECT_EQ(f.packed.part(p).num_events, f.raw.part(p).num_events);
+  }
+  EXPECT_EQ(f.packed.store->stats().parts_evicted, 0u);
 }
 
 }  // namespace

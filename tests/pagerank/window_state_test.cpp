@@ -15,6 +15,16 @@ MultiWindowSet one_part_set(const TemporalEdgeList& events,
   return MultiWindowSet::build(events, spec, 1);
 }
 
+/// The lanes of a batch of at most 64 lanes that contain `t`, as one mask
+/// word.
+std::uint64_t lanes_word(const WindowSpec& spec, const SpmmBatch& batch,
+                         Timestamp t) {
+  EXPECT_LE(batch.lanes, kLanesPerMaskWord);
+  std::uint64_t word = 0;
+  lanes_containing_into(spec, batch, t, &word);
+  return word;
+}
+
 TEST(WindowState, MatchesWindowGraphDegrees) {
   const TemporalEdgeList events = test::random_events(3, 50, 2000, 20000);
   const WindowSpec spec = WindowSpec::cover(0, 20000, 5000, 1000);
@@ -69,10 +79,10 @@ TEST(LanesContaining, SingleLaneBasic) {
   WindowSpec spec{.t0 = 0, .delta = 10, .sw = 5, .count = 10};
   SpmmBatch batch{.lanes = 1, .first_window = 2, .window_stride = 3};
   // Window 2 covers [10, 20].
-  EXPECT_EQ(lanes_containing(spec, batch, 10), 1u);
-  EXPECT_EQ(lanes_containing(spec, batch, 20), 1u);
-  EXPECT_EQ(lanes_containing(spec, batch, 9), 0u);
-  EXPECT_EQ(lanes_containing(spec, batch, 21), 0u);
+  EXPECT_EQ(lanes_word(spec, batch, 10), 1u);
+  EXPECT_EQ(lanes_word(spec, batch, 20), 1u);
+  EXPECT_EQ(lanes_word(spec, batch, 9), 0u);
+  EXPECT_EQ(lanes_word(spec, batch, 21), 0u);
 }
 
 TEST(LanesContaining, MatchesBruteForceSweep) {
@@ -91,7 +101,7 @@ TEST(LanesContaining, MatchesBruteForceSweep) {
 
     for (int probe = 0; probe < 40; ++probe) {
       const auto t = static_cast<Timestamp>(rng.bounded(2000));
-      const std::uint64_t mask = lanes_containing(spec, batch, t);
+      const std::uint64_t mask = lanes_word(spec, batch, t);
       for (std::size_t k = 0; k < batch.lanes; ++k) {
         const std::size_t w = batch.window_of_lane(k);
         const bool expect = w < spec.count && spec.contains(w, t);
@@ -106,7 +116,7 @@ TEST(LanesContaining, LanePastWindowCountExcluded) {
   WindowSpec spec{.t0 = 0, .delta = 100, .sw = 1, .count = 5};
   // Lane 1's window (4 + 1*3 = 7) exceeds count -> only lane 0 may match.
   SpmmBatch batch{.lanes = 2, .first_window = 4, .window_stride = 3};
-  const std::uint64_t mask = lanes_containing(spec, batch, 50);
+  const std::uint64_t mask = lanes_word(spec, batch, 50);
   EXPECT_EQ(mask, 1u);
 }
 
@@ -116,10 +126,10 @@ TEST(LanesContaining, StrideSkipsIntermediateWindows) {
   // Lanes hold windows 0, 2, 4, 6: only lanes 1 and 2 (windows 2, 4) match;
   // windows 1 and 3 fall between the sampled lanes.
   SpmmBatch batch{.lanes = 4, .first_window = 0, .window_stride = 2};
-  EXPECT_EQ(lanes_containing(spec, batch, 22), 0b110u);
+  EXPECT_EQ(lanes_word(spec, batch, 22), 0b110u);
   // Offset start: lanes hold windows 1, 3 -> both inside [1, 4].
   SpmmBatch odd{.lanes = 2, .first_window = 1, .window_stride = 2};
-  EXPECT_EQ(lanes_containing(spec, odd, 22), 0b11u);
+  EXPECT_EQ(lanes_word(spec, odd, 22), 0b11u);
 }
 
 TEST(LanesContaining, FullWidthClampAt64Lanes) {
@@ -128,16 +138,16 @@ TEST(LanesContaining, FullWidthClampAt64Lanes) {
   // shift guard must produce ~0 (1ULL << 64 is UB).
   WindowSpec spec{.t0 = 0, .delta = 100000, .sw = 1, .count = 500};
   SpmmBatch batch{.lanes = 64, .first_window = 0, .window_stride = 1};
-  EXPECT_EQ(lanes_containing(spec, batch, 499), ~0ULL);
+  EXPECT_EQ(lanes_word(spec, batch, 499), ~0ULL);
 }
 
 TEST(LanesContaining, TimestampOutsideAllWindowsIsZero) {
   WindowSpec spec{.t0 = 100, .delta = 10, .sw = 5, .count = 8};
   SpmmBatch batch{.lanes = 8, .first_window = 0, .window_stride = 1};
-  EXPECT_EQ(lanes_containing(spec, batch, 99), 0u);   // before t0
-  EXPECT_EQ(lanes_containing(spec, batch, -50), 0u);  // long before t0
+  EXPECT_EQ(lanes_word(spec, batch, 99), 0u);   // before t0
+  EXPECT_EQ(lanes_word(spec, batch, -50), 0u);  // long before t0
   // Last window (7) ends at 100 + 7*5 + 10 = 145.
-  EXPECT_EQ(lanes_containing(spec, batch, 146), 0u);  // after the last end
+  EXPECT_EQ(lanes_word(spec, batch, 146), 0u);  // after the last end
 }
 
 TEST(LanesContaining, TimestampBeforeFirstWindowOfBatch) {
@@ -145,7 +155,7 @@ TEST(LanesContaining, TimestampBeforeFirstWindowOfBatch) {
   // The batch starts at window 10 ([50, 60]); t = 12 only falls in windows
   // 1 and 2, entirely before the batch (hi_num < 0 path).
   SpmmBatch batch{.lanes = 4, .first_window = 10, .window_stride = 2};
-  EXPECT_EQ(lanes_containing(spec, batch, 12), 0u);
+  EXPECT_EQ(lanes_word(spec, batch, 12), 0u);
 }
 
 TEST(LanesContaining, ContainingRangeClampedToLaneCount) {
@@ -153,7 +163,7 @@ TEST(LanesContaining, ContainingRangeClampedToLaneCount) {
   // past the 3-lane batch holding windows 0, 1, 2: k_hi must clamp.
   WindowSpec spec{.t0 = 0, .delta = 30, .sw = 5, .count = 12};
   SpmmBatch batch{.lanes = 3, .first_window = 0, .window_stride = 1};
-  EXPECT_EQ(lanes_containing(spec, batch, 30), 0b111u);
+  EXPECT_EQ(lanes_word(spec, batch, 30), 0b111u);
 }
 
 TEST(LanesContaining, PartialOverlapStartsMidBatch) {
@@ -161,7 +171,7 @@ TEST(LanesContaining, PartialOverlapStartsMidBatch) {
   // lanes 0 and 1 match (k_lo = 0 rounding via ceil-divide on lo_num <= 0).
   WindowSpec spec{.t0 = 0, .delta = 30, .sw = 5, .count = 12};
   SpmmBatch batch{.lanes = 4, .first_window = 4, .window_stride = 2};
-  EXPECT_EQ(lanes_containing(spec, batch, 30), 0b11u);
+  EXPECT_EQ(lanes_word(spec, batch, 30), 0b11u);
 }
 
 TEST(SpmmState, AgreesWithPerWindowState) {

@@ -2,6 +2,8 @@
 //   * the paper's worked example (Fig. 2: 7 vertices, 14 dated events,
 //     three overlapping analysis windows),
 //   * random temporal-event generation for property tests,
+//   * compressed multi-window parts, taken from an out-of-core store whose
+//     budget holds every part,
 //   * brute-force reference implementations (window edge filter, dense
 //     PageRank) that the optimized paths are checked against.
 #pragma once
@@ -9,11 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "graph/edge_list.hpp"
+#include "graph/multi_window.hpp"
+#include "graph/paged_multi_window.hpp"
 #include "graph/types.hpp"
 #include "graph/window.hpp"
 #include "util/rng.hpp"
@@ -86,6 +91,31 @@ inline TemporalEdgeList random_events(std::uint64_t seed, VertexId n,
   list.sort_by_time();
   return list;
 }
+
+/// Every part of an out-of-core store, pinned for the object's lifetime.
+/// The budget holds the whole store, so the parts stay compressed in RAM
+/// and nothing is evicted: the compressed-part input of the compile tests.
+struct PinnedStore {
+  std::unique_ptr<PagedMultiWindowSet> store;
+  std::vector<PagedMultiWindowSet::Lease> leases;
+
+  PinnedStore(const TemporalEdgeList& events, const WindowSpec& spec,
+              std::size_t num_parts, std::size_t chunk_entries) {
+    PagedMultiWindowSet::Options opts;
+    opts.num_parts = num_parts;
+    opts.target_chunk_entries = chunk_entries;
+    opts.budget_bytes = std::size_t{1} << 30;
+    store = PagedMultiWindowSet::build(events, spec, opts);
+    for (std::size_t p = 0; p < store->num_parts(); ++p) {
+      leases.push_back(store->acquire(p));
+    }
+  }
+
+  [[nodiscard]] std::size_t num_parts() const { return leases.size(); }
+  [[nodiscard]] const MultiWindowGraph& part(std::size_t p) const {
+    return leases[p].part();
+  }
+};
 
 /// Brute force: distinct directed edges of G(ts, te).
 inline std::set<std::pair<VertexId, VertexId>> brute_window_edges(
