@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Diff a BENCH_suite.json run against a baseline and gate on regressions.
 
-The regression half of the perf-observability loop: bench/bench_suite emits
-per-case timings, histogram percentiles, and counter rates; this script
+The regression half of the perf-observability loop: `pmpr_bench suite`
+emits per-cell timings, histogram percentiles, and counter rates; this script
 diffs them against a committed baseline with direction-aware tolerance
 bands and exits non-zero when any metric regresses past its band.
 

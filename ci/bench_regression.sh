@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression gate (ctest target bench.regression): runs the curated
-# bench suite at a tiny scale, then validates the whole gate machinery
-# end-to-end on this machine's own numbers — absolute timings do not
-# transfer between boxes, so the always-on test never diffs against the
-# committed baseline. It proves instead that:
+# suite (`pmpr_bench suite`) at a tiny scale, then validates the whole
+# gate machinery end-to-end on this machine's own numbers — absolute
+# timings do not transfer between boxes, so the always-on test never diffs
+# against the committed baseline. It proves instead that:
 #   1. bench_compare.py's band logic passes its fabricated self-test,
 #   2. BENCH_suite.json has the expected records with sane values,
 #   3. a run compared against itself passes, and
@@ -12,7 +12,7 @@
 #   python3 ci/bench_compare.py build/BENCH_suite.json ci/bench_baseline.json
 set -euo pipefail
 
-BIN=${1:?usage: bench_regression.sh <bench_suite binary> [out_dir]}
+BIN=${1:?usage: bench_regression.sh <pmpr_bench binary> [out_dir]}
 OUT=${2:-.}
 CI_DIR=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
 SUITE="$OUT/BENCH_suite.json"
@@ -21,8 +21,8 @@ SUITE="$OUT/BENCH_suite.json"
 python3 "$CI_DIR/bench_compare.py" --self-test
 
 # 2. Run the suite small and validate the emitted shape.
-"$BIN" --scale=0.002 --max-windows=16 --micro-iters=20 --json="$SUITE" \
-  >/dev/null
+"$BIN" suite --scale=0.002 --max-windows=16 --micro-iters=20 \
+  --json="$SUITE" >/dev/null
 
 python3 - "$SUITE" <<'EOF'
 import json

@@ -2,7 +2,8 @@
 # check_all: every static gate in one run, with a summary table.
 #
 #   format            ci/format.sh (clang-format conformance)
-#   pmpr-lint         ci/pmpr_lint.py over src/ + its fixture self-test
+#   pmpr-lint         ci/pmpr_lint.py over src/ and tests/oracle/ + its
+#                     fixture self-test
 #   analyze.layers    ci/pmpr_analyze.py --pass layers (module DAG)
 #   analyze.locks     ci/pmpr_analyze.py --pass locks (lock-order model)
 #   analyze.hygiene   ci/pmpr_analyze.py --pass hygiene (header discipline)
@@ -64,7 +65,7 @@ run_gate "format" bash "${ROOT}/ci/format.sh"
 
 if [[ -n "${PYTHON}" ]]; then
   run_gate "pmpr-lint" "${PYTHON}" "${ROOT}/ci/pmpr_lint.py" \
-    --root "${ROOT}" --verbose "${ROOT}/src"
+    --root "${ROOT}" --verbose "${ROOT}/src" "${ROOT}/tests/oracle"
   run_gate "lint.fixtures" "${PYTHON}" \
     "${ROOT}/tests/lint/run_fixture_tests.py" --root "${ROOT}"
   for pass in layers locks hygiene; do

@@ -28,8 +28,9 @@ PYTHON="$(command -v python3 || command -v python || true)"
 if [[ -z "${PYTHON}" ]]; then
   echo "lint: SKIP pmpr-lint (no python interpreter found)" >&2
 else
-  echo "=== [1/2] pmpr-lint over src/ ==="
-  "${PYTHON}" "${ROOT}/ci/pmpr_lint.py" --root "${ROOT}" "${ROOT}/src"
+  echo "=== [1/2] pmpr-lint over src/ and tests/oracle/ ==="
+  "${PYTHON}" "${ROOT}/ci/pmpr_lint.py" --root "${ROOT}" "${ROOT}/src" \
+    "${ROOT}/tests/oracle"
 fi
 
 # ---- 2. clang-tidy ----------------------------------------------------------

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   std::int64_t max_windows = 128;
   Options opts("Compare offline / streaming / postmortem on a surrogate");
   opts.add("dataset", &dataset,
-           "surrogate name (see bench_table1_datasets for the list)");
+           "surrogate name (see `pmpr_bench table1` for the list)");
   opts.add("scale", &scale, "surrogate dataset scale factor");
   opts.add("seed", &seed, "generator seed");
   opts.add("delta-days", &delta_days, "window size in days");

@@ -2,8 +2,7 @@
 // stack: scheduler/kernel counters, per-window convergence metrics, and a
 // Perfetto-loadable trace.
 //
-//   ./pmpr_run --model postmortem --dataset wiki-talk --scale 0.01 \
-//              --trace trace.json --metrics metrics.json
+//   ./pmpr_run --model postmortem --trace trace.json --metrics metrics.json
 //
 // Load trace.json in https://ui.perfetto.dev (or chrome://tracing) to see
 // the per-phase spans; metrics.json holds the pmpr-metrics-v4 record
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
   opts.add("parts", &parts,
            "postmortem multi-window graph count Y (0 = suggested config)");
   opts.add("dataset", &dataset,
-           "surrogate name (see bench_table1_datasets for the list)");
+           "surrogate name (see `pmpr_bench table1` for the list)");
   opts.add("scale", &scale, "surrogate dataset scale factor");
   opts.add("seed", &seed, "generator seed");
   opts.add("delta-days", &delta_days, "window size in days");

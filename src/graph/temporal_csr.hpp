@@ -106,7 +106,7 @@ class TemporalCsr {
   /// Variant of for_each_active_neighbor that binary-searches each
   /// ⟨v,u⟩ run for the first event >= ts instead of scanning it. Wins only
   /// when runs are long (many repeated events between the same pair);
-  /// bench_ablation_timescan quantifies the crossover. Results identical.
+  /// `pmpr_bench timescan` quantifies the crossover. Results identical.
   template <typename Fn>
   void for_each_active_neighbor_binsearch(VertexId v, Timestamp ts,
                                           Timestamp te, Fn&& fn) const {

@@ -15,12 +15,8 @@
 //   pmpr::RunResult r = pmpr::run_postmortem(events, spec, sink, cfg);
 #pragma once
 
-#include "analysis/betweenness.hpp"  // IWYU pragma: export
-#include "analysis/closeness.hpp"    // IWYU pragma: export
 #include "analysis/connected_components.hpp"  // IWYU pragma: export
-#include "analysis/degree_distribution.hpp"   // IWYU pragma: export
 #include "analysis/katz.hpp"        // IWYU pragma: export
-#include "analysis/kcore.hpp"       // IWYU pragma: export
 #include "analysis/timeseries.hpp"  // IWYU pragma: export
 #include "exec/config.hpp"          // IWYU pragma: export
 #include "exec/export.hpp"          // IWYU pragma: export

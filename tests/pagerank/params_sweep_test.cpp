@@ -6,7 +6,6 @@
 #include <numeric>
 #include <tuple>
 
-#include "pagerank/propagation_blocking.hpp"
 #include "pagerank/spmv_temporal.hpp"
 #include "test_helpers.hpp"
 
@@ -36,13 +35,6 @@ TEST_P(PagerankParamSweep, AllKernelsAgree) {
   std::vector<double> scratch(n);
   full_init(g.is_active, g.num_active, pull);
   pagerank(g, pull, scratch, p);
-
-  // Propagation-blocking push kernel.
-  const PushGraph pg = PushGraph::from_events(events.slice(ts, te), n);
-  std::vector<double> push(n);
-  full_init(pg.is_active, pg.num_active, push);
-  pagerank_propagation_blocking(pg, push, scratch, p);
-  EXPECT_LT(test::linf_diff(pull, push), 1e-10);
 
   // Compiled temporal SpMV kernel through a multi-window part.
   const WindowSpec spec{.t0 = ts, .delta = te - ts, .sw = 1, .count = 1};
