@@ -9,6 +9,7 @@
 // example (Fig. 2), or pass --events <file> to analyze your own data
 // ("src dst time" per line).
 #include <cstdio>
+#include <exception>
 
 #include "pmpr.hpp"
 
@@ -41,7 +42,13 @@ int main(int argc, char** argv) {
     }
     std::printf("No --events given: using the paper's Fig. 2 example.\n");
   } else {
-    events = TemporalEdgeList::load_text(events_path);
+    // A file that cannot be read or parsed ends the run with one line.
+    try {
+      events = TemporalEdgeList::load_text(events_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "quickstart: %s\n", e.what());
+      return 1;
+    }
   }
   events.sort_by_time();
   if (events.empty()) {

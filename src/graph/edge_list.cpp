@@ -1,10 +1,14 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -43,6 +47,9 @@ bool TemporalEdgeList::is_sorted_by_time() const {
 }
 
 void TemporalEdgeList::sort_by_time() {
+  // A stable sort of a sorted list is the list itself, and inputs usually
+  // arrive sorted.
+  if (is_sorted_by_time()) return;
   // Parallel stable merge sort above its sequential cutoff; plain
   // stable_sort below it (see par/parallel_sort.hpp).
   parallel_sort(edges_, [](const TemporalEdge& a, const TemporalEdge& b) {
@@ -74,32 +81,143 @@ std::span<const TemporalEdge> TemporalEdgeList::slice(Timestamp ts,
   return {std::to_address(lo), static_cast<std::size_t>(hi - lo)};
 }
 
-TemporalEdgeList TemporalEdgeList::load_text(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  TemporalEdgeList list;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    Timestamp t = 0;
-    if (!(ss >> u >> v >> t)) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": malformed event line: '" + line + "'");
-    }
-    // Reject ids that would wrap when narrowed to VertexId instead of
-    // silently aliasing distinct vertices (kInvalidVertex is reserved).
-    if (u >= kInvalidVertex || v >= kInvalidVertex) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                               ": vertex id out of range: '" + line + "'");
-    }
-    list.add(static_cast<VertexId>(u), static_cast<VertexId>(v), t);
+namespace {
+
+/// The blanks operator>> skips before a number; '\n' never occurs here
+/// because it ends the line.
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+const char* skip_blanks(const char* p, const char* end) {
+  while (p != end && is_blank(*p)) ++p;
+  return p;
+}
+
+/// Parses blanks, an optional '+' (or '-' if `Int` is signed) and decimal
+/// digits into `out`. Returns the end of the digits, or nullptr if there
+/// are none or the value does not fit `Int`.
+template <class Int>
+const char* parse_field(const char* p, const char* end, Int& out) {
+  p = skip_blanks(p, end);
+  if (p != end && *p == '+') {
+    ++p;
+    if (p != end && *p == '-') return nullptr;  // from_chars would take "-3"
   }
-  return list;
+  const auto [next, ec] = std::from_chars(p, end, out);
+  return ec == std::errc{} ? next : nullptr;
+}
+
+[[noreturn]] void throw_line_error(const std::string& path, std::size_t lineno,
+                                   const char* what, const char* begin,
+                                   const char* end) {
+  throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " + what +
+                           ": '" + std::string(begin, end) + "'");
+}
+
+/// Adds the event on line [begin, end) (no '\n') unless the line is empty
+/// or a comment.
+void add_event_line(TemporalEdgeList& list, const char* begin,
+                    const char* end, const std::string& path,
+                    std::size_t lineno) {
+  if (begin == end || *begin == '#') return;
+  std::uint64_t u = 0;
+  std::uint64_t v = 0;
+  Timestamp t = 0;
+  const char* p = parse_field(begin, end, u);
+  if (p != nullptr) p = parse_field(p, end, v);
+  if (p != nullptr) p = parse_field(p, end, t);
+  if (p == nullptr || skip_blanks(p, end) != end) {
+    throw_line_error(path, lineno, "malformed event line", begin, end);
+  }
+  // Reject ids that would wrap when narrowed to VertexId instead of
+  // silently aliasing distinct vertices (kInvalidVertex is reserved).
+  if (u >= kInvalidVertex || v >= kInvalidVertex) {
+    throw_line_error(path, lineno, "vertex id out of range", begin, end);
+  }
+  list.add(static_cast<VertexId>(u), static_cast<VertexId>(v), t);
+}
+
+/// Drops the bytes of line [begin, end) that cannot change what it parses
+/// to: all but the first blank of a run, and all but the first of the
+/// zeros that start a number. Returns the new end. An event line, however
+/// long, is then under 80 bytes.
+char* squeeze_line(char* begin, const char* end) {
+  char* out = begin;
+  for (const char* q = begin; q != end; ++q) {
+    const auto kept = out - begin;
+    const bool repeated_blank = kept > 0 && is_blank(*q) && is_blank(out[-1]);
+    const bool leading_zero =
+        kept > 0 && *q == '0' && out[-1] == '0' &&
+        (kept == 1 || std::isdigit(static_cast<unsigned char>(out[-2])) == 0);
+    if (!repeated_blank && !leading_zero) *out++ = *q;
+  }
+  return out;
+}
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+}  // namespace
+
+TemporalEdgeList TemporalEdgeList::load_text(const std::string& path) {
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  if (!file) {
+    throw std::runtime_error("cannot open " + path + ": " +
+                             std::strerror(errno));
+  }
+  // The partial line at the end of a block moves to the front, and the
+  // next read appends to it.
+  const auto block = std::make_unique_for_overwrite<char[]>(kTextBlockBytes);
+  TemporalEdgeList list;
+  std::size_t lineno = 0;
+  std::size_t carried = 0;
+  bool in_long_comment = false;
+  for (;;) {
+    const std::size_t want = kTextBlockBytes - carried;
+    const std::size_t got =
+        std::fread(block.get() + carried, 1, want, file.get());
+    if (got < want && std::ferror(file.get())) {
+      throw std::runtime_error("cannot read " + path + ": " +
+                               std::strerror(errno));
+    }
+    const char* p = block.get();
+    const char* const end = p + carried + got;
+    if (got == 0) {  // end of file; a last line may lack its '\n'
+      if (p != end && !in_long_comment) {
+        add_event_line(list, p, end, path, lineno + 1);
+      }
+      return list;
+    }
+    while (const auto* nl = static_cast<const char*>(
+               std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) {
+      ++lineno;
+      if (!in_long_comment) add_event_line(list, p, nl, path, lineno);
+      in_long_comment = false;
+      p = nl + 1;
+    }
+    carried = static_cast<std::size_t>(end - p);
+    if (carried < kTextBlockBytes) {
+      std::memmove(block.get(), p, carried);
+    } else if (in_long_comment || *p == '#') {
+      // The block holds part of one line. A comment is dropped up to its
+      // '\n'.
+      in_long_comment = true;
+      carried = 0;
+    } else {
+      // Any other line is squeezed; if that frees less than half the
+      // block, it is no event.
+      char* const line = block.get();
+      carried = static_cast<std::size_t>(
+          squeeze_line(line, line + carried) - line);
+      if (carried > kTextBlockBytes / 2) {
+        throw_line_error(path, lineno + 1, "malformed event line", line,
+                         line + carried);
+      }
+    }
+  }
 }
 
 void TemporalEdgeList::save_text(const std::string& path) const {

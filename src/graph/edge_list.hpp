@@ -42,7 +42,8 @@ class TemporalEdgeList {
 
   [[nodiscard]] bool is_sorted_by_time() const;
 
-  /// Stable-sorts events by timestamp (postmortem precondition).
+  /// Stable-sorts events by timestamp (postmortem precondition). A sorted
+  /// list costs one O(E) check.
   void sort_by_time();
 
   /// Earliest / latest event time. Requires a non-empty, time-sorted list.
@@ -53,8 +54,23 @@ class TemporalEdgeList {
   [[nodiscard]] std::span<const TemporalEdge> slice(Timestamp ts,
                                                     Timestamp te) const;
 
-  /// Text IO: one "src dst time" triple per line; '#' starts a comment.
-  /// Throws std::runtime_error on malformed input or IO failure.
+  /// load_text reads its file in blocks of this many bytes, whatever the
+  /// file's size; a line may be longer than a block. Below glibc's 128 KiB
+  /// mmap threshold, so the block comes from the heap and later set-up
+  /// allocations reuse it: a 1 MiB block raised set-up peak RSS.
+  static constexpr std::size_t kTextBlockBytes = std::size_t{64} << 10;
+
+  /// Text IO: one event per line, lines split at '\n'.
+  ///   * An empty line, or one whose first byte is '#', is skipped. Every
+  ///     other line is "src dst time", and only blanks may follow the time.
+  ///   * Each field may be preceded by blanks: space, \t, \r, \v or \f.
+  ///   * src and dst are decimal ids below kInvalidVertex, with an optional
+  ///     '+'. time is a decimal int64, with an optional '+' or '-'.
+  /// Throws std::runtime_error naming path:line for a line that breaks
+  /// these rules, and naming the path when it cannot be opened or read
+  /// (a directory, say). tests/graph/text_loader_differential_test.cpp
+  /// checks it against the line-at-a-time loader it replaced
+  /// (oracle::load_text_reference).
   static TemporalEdgeList load_text(const std::string& path);
   void save_text(const std::string& path) const;
 

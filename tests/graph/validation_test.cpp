@@ -238,6 +238,70 @@ TEST(EdgeListValidation, TextLoadRejectsReservedVertexId) {
                std::runtime_error);
 }
 
+testing::AssertionResult has_text(const std::string& error,
+                                  const std::string& part) {
+  if (error.find(part) != std::string::npos) return testing::AssertionSuccess();
+  return testing::AssertionFailure() << "'" << error << "' lacks '" << part
+                                     << "'";
+}
+
+/// Loads `text` from a file named t.txt; returns the error message, or ""
+/// if it loaded.
+std::string text_load_error(const TempDir& dir, const std::string& text) {
+  {
+    std::ofstream out(dir.file("t.txt"), std::ios::binary);
+    out << text;
+  }
+  try {
+    (void)TemporalEdgeList::load_text(dir.file("t.txt"));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// operator>> stopped at the first character it could not use, so each of
+// these lines once loaded with the rest of the line ignored.
+TEST(EdgeListValidation, TextLoadRejectsHexTime) {
+  TempDir dir;
+  EXPECT_TRUE(has_text(text_load_error(dir, "1 2 3\n1 2 0x10\n"),
+                       "t.txt:2: malformed event line: '1 2 0x10'"));
+}
+
+TEST(EdgeListValidation, TextLoadRejectsFractionalTime) {
+  TempDir dir;
+  EXPECT_TRUE(has_text(text_load_error(dir, "1 2 3.5\n"),
+                       "t.txt:1: malformed event line"));
+}
+
+TEST(EdgeListValidation, TextLoadRejectsFourthColumn) {
+  TempDir dir;
+  // A "src dst weight time" file would load its weights as times.
+  EXPECT_TRUE(has_text(text_load_error(dir, "# src dst w t\n1 2 5 100\n"),
+                       "t.txt:2: malformed event line"));
+}
+
+TEST(EdgeListValidation, TextLoadRejectsSignedVertexId) {
+  TempDir dir;
+  EXPECT_TRUE(has_text(text_load_error(dir, "-0 1 2\n"),
+                       "t.txt:1: malformed event line"));
+  // Wrapped to vertex 1 under operator>>.
+  EXPECT_TRUE(has_text(text_load_error(dir, "1 -18446744073709551615 2\n"),
+                       "t.txt:1: malformed event line"));
+}
+
+TEST(EdgeListValidation, TextLoadOfDirectoryThrows) {
+  TempDir dir;
+  const std::string path = dir.file("events.d");
+  std::filesystem::create_directory(path);
+  try {
+    (void)TemporalEdgeList::load_text(path);
+    ADD_FAILURE() << "loaded a directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_TRUE(has_text(e.what(), path));
+  }
+}
+
 TEST(EdgeListValidation, BinaryLoadRejectsInflatedEventCount) {
   TempDir dir;
   TemporalEdgeList orig = test::paper_example_directed();
