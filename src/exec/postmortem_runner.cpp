@@ -17,17 +17,20 @@
 #include "pagerank/spmm_temporal.hpp"
 #include "pagerank/spmv_temporal.hpp"
 #include "util/check.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
 namespace pmpr {
 
 namespace {
 
-/// Per-execution-context scratch. Acquired per work item from a per-thread
-/// stack: the common case reuses the same state for consecutive items on a
-/// thread (which is what lets partial initialization chain, §4.3.1); the
+/// Per-execution-context scratch. Leased per leaf chunk from the stack of
+/// the thread's slot, so a thread reuses its buffers across chunks; the
 /// rare nested-steal reentrancy gets a fresh state instead of corrupting
-/// the busy one.
+/// the busy one. Partial initialization (§4.3.1) chains only between
+/// consecutive items of one leased chunk: the lease drops the carry, so
+/// whether an item starts from its predecessor never depends on which
+/// chunk its thread ran before.
 struct ThreadState {
   WindowState ws;
   SpmmWindowState spmm_ws;
@@ -41,7 +44,7 @@ struct ThreadState {
   std::vector<double> lane_buf;
 
   // Carry for partial initialization: result of the previous item this
-  // state processed.
+  // state processed in the current lease.
   std::vector<double> prev_x;
   std::vector<std::uint8_t> prev_active;      // SpMV
   std::vector<std::uint64_t> prev_mask;       // SpMM, n * prev_words
@@ -171,7 +174,7 @@ class PostmortemDriver {
       for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
     }
 
-    state_stacks_.resize(pool_->num_threads() + 1);
+    state_stacks_ = std::make_unique<StateStack[]>(pool_->num_threads() + 1);
   }
 
   void run() {
@@ -202,26 +205,38 @@ class PostmortemDriver {
   }
 
  private:
-  /// RAII acquisition of a per-thread state (stack per thread slot; only
-  /// the owning thread touches its stack, so no locking).
+  /// The idle states of one thread slot of pool_ (ThreadPool::reduce_slot).
+  /// A worker's slot has one thread; the spare slot is shared by every
+  /// thread outside pool_ that runs this run's tasks (the caller, and any
+  /// thread whose wait on pool_ picks one up), hence the lock.
+  struct StateStack {
+    Mutex mu;
+    std::vector<std::unique_ptr<ThreadState>> idle PMPR_GUARDED_BY(mu);
+  };
+
+  /// RAII acquisition of a state from the current thread's slot. Taking a
+  /// lease drops the state's partial-init carry.
   struct StateLease {
-    explicit StateLease(PostmortemDriver& driver) : d(driver) {
-      const int idx = par::ThreadPool::current_worker_index();
-      slot = idx >= 0 ? static_cast<std::size_t>(idx) : d.pool_->num_threads();
-      auto& stack = d.state_stacks_[slot];
-      if (stack.empty()) {
+    explicit StateLease(PostmortemDriver& driver)
+        : stack(driver.state_stacks_[driver.pool_->reduce_slot()]) {
+      {
+        LockGuard lock(stack.mu);
+        if (!stack.idle.empty()) {
+          state_holder = std::move(stack.idle.back());
+          stack.idle.pop_back();
+        }
+      }
+      if (state_holder == nullptr) {
         state_holder = std::make_unique<ThreadState>();
-      } else {
-        state_holder = std::move(stack.back());
-        stack.pop_back();
       }
       state = state_holder.get();
+      state->carry_part = SIZE_MAX;
     }
     ~StateLease() {
-      d.state_stacks_[slot].push_back(std::move(state_holder));
+      LockGuard lock(stack.mu);
+      stack.idle.push_back(std::move(state_holder));
     }
-    PostmortemDriver& d;
-    std::size_t slot = 0;
+    StateStack& stack;
     std::unique_ptr<ThreadState> state_holder;
     ThreadState* state = nullptr;
   };
@@ -420,7 +435,7 @@ class PostmortemDriver {
   par::ForOptions for_opts_;
   const par::ForOptions* kernel_par_ = nullptr;
   std::vector<WorkItem> items_;
-  std::vector<std::vector<std::unique_ptr<ThreadState>>> state_stacks_;
+  std::unique_ptr<StateStack[]> state_stacks_;
 };
 
 /// Folds the run's memory accounting into `result` (which must already

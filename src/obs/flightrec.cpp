@@ -33,13 +33,19 @@ constexpr std::size_t kErrorLen = 128;
 /// (advisory-by-contract, like counters), but it can never see a torn
 /// value — in particular `name` is always either nullptr or a valid
 /// pointer to static-storage bytes, which is what makes the crash path's
-/// pointer-chasing safe.
+/// pointer-chasing safe. `stamp` is the low 32 bits of seq + 1 of the
+/// write that filled the slot, stored last with release order: a slot
+/// that fr_add() has claimed but not yet filled still carries an older
+/// stamp (0 when cleared, else one from kRingCap writes back), and readers
+/// skip it rather than report its stale or zeroed fields as an event. 32
+/// bits fit in the padding after `kind`, so the slot does not grow.
 struct FrSlot {
   std::atomic<std::int64_t> t_ns{0};
   std::atomic<const char*> name{nullptr};
   std::atomic<std::uint64_t> a{0};
   std::atomic<std::uint64_t> b{0};
   std::atomic<std::uint8_t> kind{0};
+  std::atomic<std::uint32_t> stamp{0};
 };
 
 /// One padded per-thread ring. `error_buf` is plain chars written by the
@@ -68,11 +74,28 @@ std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
 }
 
-/// Copies the window [start, next) of one ring into `out`.
-void copy_ring(const FrBlock& blk, std::uint32_t tid, std::uint64_t start,
-               std::uint64_t next, std::vector<FlightEvent>& out) {
+/// Whether the slot holds write `seq`, complete. acquire: pairs with
+/// fr_add()'s release store of the stamp, so the fields read after it are
+/// that write's (or, after a wrap, a later one's).
+bool slot_written(const FrSlot& s, std::uint64_t seq) {
+  return s.stamp.load(std::memory_order_acquire) ==
+         static_cast<std::uint32_t>(seq + 1);
+}
+
+/// Copies the written records of the window [start, next) of one ring
+/// into `out` and returns the seq the copy stopped at. A slot that does
+/// not hold its own write (claimed but not yet filled, or already
+/// overwritten) is skipped, or, with `stop_at_gap`, ends the copy, so a
+/// drain can leave it for the next drain.
+std::uint64_t copy_ring(const FrBlock& blk, std::uint32_t tid,
+                        std::uint64_t start, std::uint64_t next,
+                        bool stop_at_gap, std::vector<FlightEvent>& out) {
   for (std::uint64_t seq = start; seq < next; ++seq) {
     const FrSlot& s = blk.ring[seq % kRingCap];
+    if (!slot_written(s, seq)) {
+      if (stop_at_gap) return seq;
+      continue;
+    }
     FlightEvent e;
     // relaxed loads: ring snapshots are advisory-by-contract while
     // writers are live (see flightrec.hpp); exact after quiesce.
@@ -87,6 +110,7 @@ void copy_ring(const FrBlock& blk, std::uint32_t tid, std::uint64_t start,
     e.b = s.b.load(std::memory_order_relaxed);  // relaxed: ditto
     out.push_back(std::move(e));
   }
+  return next;
 }
 
 void sort_by_time(std::vector<FlightEvent>& events) {
@@ -122,6 +146,10 @@ void fr_add(FrEvent kind, const char* name, std::uint64_t a,
   s.a.store(a, std::memory_order_relaxed);
   s.b.store(b, std::memory_order_relaxed);  // relaxed: ditto
   s.t_ns.store(trace_now_ns(), std::memory_order_relaxed);  // relaxed: ditto
+  // release: publishes the fields above to a reader whose acquire load
+  // sees this stamp (slot_written).
+  s.stamp.store(static_cast<std::uint32_t>(seq + 1),
+                std::memory_order_release);
 }
 
 }  // namespace detail
@@ -157,7 +185,7 @@ std::vector<FlightEvent> snapshot_flight_recorder() {
     // relaxed: advisory snapshot, see copy_ring.
     const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
     copy_ring(blk, static_cast<std::uint32_t>(i), sat_sub(next, kRingCap),
-              next, out);
+              next, /*stop_at_gap=*/false, out);
   });
   sort_by_time(out);
   return out;
@@ -177,9 +205,14 @@ std::vector<FlightEvent> drain_flight_recorder() {
     const std::uint64_t consumed =
         blk.consumed.load(std::memory_order_relaxed);
     const std::uint64_t start = std::max(consumed, sat_sub(next, kRingCap));
-    copy_ring(blk, static_cast<std::uint32_t>(i), start, next, out);
+    // A record claimed but not yet filled ends this drain's share of the
+    // ring: it and the records after it go to the next drain, or, if the
+    // ring wraps first, into the dropped count.
+    const std::uint64_t stop = copy_ring(blk, static_cast<std::uint32_t>(i),
+                                         start, next, /*stop_at_gap=*/true,
+                                         out);
     // relaxed: published to other drainers via g_drain_mu, not this store.
-    blk.consumed.store(next, std::memory_order_relaxed);
+    blk.consumed.store(stop, std::memory_order_relaxed);
   });
   // seq_cst add of a cold stat.
   g_drains.fetch_add(1);
@@ -198,6 +231,7 @@ void clear_flight_recorder() {
       s.a.store(0, std::memory_order_relaxed);
       s.b.store(0, std::memory_order_relaxed);     // relaxed: ditto
       s.kind.store(0, std::memory_order_relaxed);  // relaxed: ditto
+      s.stamp.store(0, std::memory_order_relaxed);  // relaxed: ditto
     }
     // relaxed: same racy-by-contract reset.
     blk.next.store(0, std::memory_order_relaxed);
@@ -291,6 +325,7 @@ std::uint64_t fr_emit_events_json(int fd) {
     const std::uint64_t count = next > kRingCap ? kRingCap : next;
     for (std::uint64_t seq = next - count; seq < next; ++seq) {
       const FrSlot& s = blk.ring[seq % kRingCap];
+      if (!slot_written(s, seq)) continue;
       // relaxed loads: advisory records, never torn per-field.
       const std::int64_t t = s.t_ns.load(std::memory_order_relaxed);
       std::uint8_t k = s.kind.load(std::memory_order_relaxed);

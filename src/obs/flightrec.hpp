@@ -27,8 +27,12 @@
 // whose fields mix two writes. Every field is an individually-relaxed
 // atomic, so torn *values* cannot occur, and every name pointer refers to
 // static storage (string literals or the leaked rings' own buffers),
-// so a stale pointer is always dereferenceable. Totals and event lists
-// are exact once producers quiesce.
+// so a stale pointer is always dereferenceable. A writer stores a slot's
+// sequence stamp after its fields, and readers skip a slot whose stamp is
+// not the one its position expects, so a slot claimed but not yet filled
+// is never reported as an event; a drain stops at such a slot and leaves
+// it to the next drain. Totals and event lists are exact once producers
+// quiesce.
 //
 // All `name` arguments must be string literals or otherwise immortal:
 // records store the pointer, never a copy (fr_record_error is the one
@@ -127,7 +131,8 @@ void fr_record_error(const char* what);
 /// drain call, even under concurrent drains (serialized on an internal
 /// mutex — this is the "trace exporter shutdown" contract the sampler
 /// tests exercise). Events recorded after a drain started may land in
-/// either that drain or the next.
+/// either that drain or the next, and so do an event its writer is still
+/// filling in and the later events of that thread's ring.
 [[nodiscard]] std::vector<FlightEvent> drain_flight_recorder();
 
 /// Drops every retained event and zeroes the lifetime totals. Test-only

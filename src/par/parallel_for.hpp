@@ -8,7 +8,11 @@
 // processes G_{i-1} and G_i, then partial initialization occurs").
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "par/partitioner.hpp"
@@ -44,6 +48,60 @@ void run_split(ThreadPool& pool, WaitGroup& wg, std::size_t lo, std::size_t hi,
     hi = mid;
   }
   body(lo, hi);
+}
+
+/// One split of a parallel_reduce_slots chunk range, in an array the
+/// caller owns (the split at chunk boundary m is element m - 1): where the
+/// result of its range goes, the partials of its two halves, and how many
+/// halves are still running.
+template <typename T>
+struct ReduceSplit {
+  ReduceSplit* parent = nullptr;  ///< Owner of *out; null at the root.
+  std::optional<T>* out = nullptr;
+  std::optional<T> left;
+  std::optional<T> right;
+  std::atomic<int> pending{2};
+};
+
+/// Splits the chunk range [lo, hi) like run_split, down to single chunks,
+/// and puts `chunk(c)` in its half of the split above it. Whichever half
+/// of a split finishes second combines the two, left before right, and
+/// hands the result up, so a partial is combined on a worker as soon as
+/// its sibling is ready and the combine tree is the split tree. A half
+/// that throws leaves the splits above it unfinished and the result
+/// empty; the caller's wait rethrows.
+template <typename T, typename Chunk, typename Combine>
+void reduce_split(ThreadPool& pool, WaitGroup& wg, ReduceSplit<T>* splits,
+                  std::size_t lo, std::size_t hi, const Chunk& chunk,
+                  const Combine& combine, ReduceSplit<T>* owner,
+                  std::optional<T>* out) {
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    ReduceSplit<T>* split = &splits[mid - 1];
+    split->parent = owner;
+    split->out = out;
+    wg.add(1);
+    pool.submit(
+        [&pool, &wg, splits, split, mid, hi, &chunk, &combine] {
+          reduce_split(pool, wg, splits, mid, hi, chunk, combine, split,
+                       &split->right);
+        },
+        wg);
+    owner = split;
+    out = &split->left;
+    hi = mid;
+  }
+  out->emplace(chunk(lo));
+  // acq_rel: the release half publishes this half's partial to the
+  // sibling that finishes second; its acquire half sees the sibling's.
+  while (owner != nullptr &&
+         owner->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    owner->out->emplace(
+        combine(std::move(*owner->left), std::move(*owner->right)));
+    owner->left.reset();
+    owner->right.reset();
+    owner = owner->parent;
+  }
 }
 
 }  // namespace detail
@@ -100,38 +158,48 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity,
   return acc;
 }
 
-/// Lock-free parallel reduction for copyable array/struct accumulators
-/// (doubles, std::array<double, N>, small structs): each thread folds its
-/// chunks' partials into a cache-line-padded per-thread slot (one per
-/// worker plus one for the helping caller — see ThreadPool::reduce_slot),
-/// and the touched slots are combined with `identity` on the calling
-/// thread at the end. Like parallel_reduce, `identity` enters the result
-/// exactly once (an empty range returns it unchanged). The combine order
-/// is unspecified, so floating-point results may differ between runs at
-/// rounding precision.
+/// Deterministic parallel reduction for copyable array/struct accumulators
+/// (doubles, std::array<double, N>, small structs). The range is cut into
+/// ceil(n / g) chunks of g items, g being effective_grain() for the range,
+/// the options and the pool size; `map` runs once per chunk, lock-free,
+/// and the chunks' partials are combined pairwise up a binary split of the
+/// chunk range, on the workers, left before right. The caller allocates
+/// one small record per split; a partial lives only until its sibling is
+/// ready, so few are alive at once, and no combine waits for the caller.
+/// The chunks and the tree depend on nothing else, so repeated calls with
+/// the same arguments on the same pool give bit-identical floating-point
+/// results, however the chunks were scheduled. Like parallel_reduce,
+/// `identity` enters the result exactly once (an empty range returns it
+/// unchanged); a range of one chunk, or a one-thread pool, is one `map`
+/// call on the caller.
 template <typename T, typename Map, typename Combine>
 T parallel_reduce_slots(std::size_t begin, std::size_t end, T identity,
                         const ForOptions& opts, Map&& map, Combine&& combine) {
+  if (begin >= end) return identity;
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
-  struct alignas(64) Slot {
-    T value;
-    bool used = false;
-  };
-  std::vector<Slot> slots(pool.num_threads() + 1);
-  parallel_for_range(begin, end, opts, [&](std::size_t lo, std::size_t hi) {
-    // Only the owning thread touches its slot, so no lock is needed; a
-    // nested steal that re-enters on the same thread runs combine
-    // sequentially between, not during, the outer body's calls.
-    Slot& slot = slots[pool.reduce_slot()];
-    slot.value =
-        slot.used ? combine(std::move(slot.value), map(lo, hi)) : map(lo, hi);
-    slot.used = true;
-  });
-  T acc = std::move(identity);
-  for (Slot& s : slots) {
-    if (s.used) acc = combine(std::move(acc), std::move(s.value));
+  const std::size_t n = end - begin;
+  const std::size_t grain =
+      effective_grain(opts.partitioner, n, opts.grain, pool.num_threads());
+  if (n <= grain || pool.num_threads() == 1) {
+    return combine(std::move(identity), map(begin, end));
   }
-  return acc;
+  const auto chunk = [&map, begin, end, grain](std::size_t c) {
+    const std::size_t lo = begin + c * grain;
+    return map(lo, std::min(end, lo + grain));
+  };
+  const std::size_t chunks = (n + grain - 1) / grain;
+  const auto splits = std::make_unique<detail::ReduceSplit<T>[]>(chunks - 1);
+  std::optional<T> total;
+  WaitGroup wg;
+  wg.add(1);
+  pool.submit(
+      [&pool, &wg, splits = splits.get(), chunks, &chunk, &combine, &total] {
+        detail::reduce_split<T>(pool, wg, splits, 0, chunks, chunk, combine,
+                                nullptr, &total);
+      },
+      wg);
+  pool.wait(wg);
+  return combine(std::move(identity), std::move(*total));
 }
 
 }  // namespace pmpr::par

@@ -121,17 +121,19 @@ class ThreadPool : public obs::SchedulerProbe {
   /// Rethrows the first exception any task of the group raised.
   void wait(WaitGroup& wg);
 
-  /// Index of the current thread within this pool: [0, num_threads) for
-  /// workers, num_threads for the (helping) external thread slot, or -1 if
-  /// the thread has never interacted with this pool.
+  /// Index of the current thread in the pool it works for: [0,
+  /// num_threads) for a worker of *any* pool, -1 for every other thread.
+  /// It does not say which pool; index one pool's per-thread arrays with
+  /// reduce_slot().
   [[nodiscard]] static int current_worker_index();
 
-  /// Slot index of the current thread for per-thread accumulator arrays of
-  /// size num_threads() + 1: a worker of *this* pool gets its worker index;
-  /// any other thread — including a worker of a different pool — gets the
-  /// spare last slot. During a parallel_for on this pool, loop bodies run
-  /// only on this pool's workers plus the single (helping) caller, so slots
-  /// are never shared between concurrently-running bodies.
+  /// Slot index of the current thread for per-thread arrays of size
+  /// num_threads() + 1: a worker of *this* pool gets its worker index,
+  /// which no other thread shares; any other thread — including a worker
+  /// of a different pool — gets the spare last slot. Every thread that
+  /// waits on this pool helps with whatever task it finds, so several
+  /// threads outside the pool can run its tasks at once and the spare slot
+  /// needs a lock.
   [[nodiscard]] std::size_t reduce_slot() const;
 
   // Monitoring introspection (the obs::SchedulerProbe contract, consumed

@@ -1,18 +1,20 @@
 // Determinism and thread-count independence of the postmortem driver.
 //
 // Pull-style kernels sum each vertex's contributions in a fixed order, and
-// task partitioning never changes that order. Partial initialization does
-// not hold to it yet: an item chains from the last item its leased thread
-// state processed, and in window and nested mode the state a chunk's first
-// item gets depends on which thread ran the chunk before. That item's
-// initial vector, and with it its iteration count and last bits, can then
-// differ between two runs on the same pool (ROADMAP item 1), so
-// RepeatedRunsBitwiseIdentical fails until the carry is made
-// deterministic. Across pool sizes the ranks agree to a tolerance; kPagerank
-// mode runs windows strictly in order on one state and keeps its iteration
-// counts.
+// task partitioning never changes that order. Partial initialization
+// chains only between consecutive items of one leaf chunk, and a leaf's
+// bounds depend only on the partitioner, the item count, the grain and
+// the pool size. The kernels' residual and dangling-mass reductions
+// combine one partial per leaf along the fixed split tree. So two runs on
+// one pool are bit-identical however their chunks were scheduled: whether
+// an item starts from its predecessor never depends on which chunk its
+// thread ran before (DESIGN §6; the ctest exec.determinism_repeat runs
+// these suites twenty times). Across pool sizes the leaf chunks differ, so
+// the ranks agree only to a tolerance; kPagerank mode runs windows
+// strictly in order on one state and keeps its iteration counts.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
 
 #include "exec/postmortem_runner.hpp"
@@ -62,7 +64,8 @@ TEST(Determinism, RepeatedRunsBitwiseIdentical) {
   expect_repeatable(Scenario{}, nested, "nested spmm");
 
   // Window mode on the global pool, where each kernel runs serially. On
-  // this input two runs differ in almost every repeat (ROADMAP item 1).
+  // this input two runs differed in almost every repeat while a chunk's
+  // first item could chain from whatever its thread ran before.
   const Scenario window_input{test::random_events(1605, 70, 5000, 50000),
                               WindowSpec::cover(0, 50000, 9000, 700)};
   for (const KernelKind kernel : {KernelKind::kSpmv, KernelKind::kSpmm}) {
@@ -73,6 +76,33 @@ TEST(Determinism, RepeatedRunsBitwiseIdentical) {
     cfg.vector_length = 8;
     cfg.pr.tol = 1e-10;
     expect_repeatable(window_input, cfg, to_string(kernel));
+  }
+}
+
+TEST(Determinism, RepeatedRunsBitwiseIdenticalEveryModeKernelStorage) {
+  // The rest of the mode x kernel x storage grid, with partial init on:
+  // kPagerank mode's ranks, nested SpMV, and the paged driver, which
+  // splits one part's items at a time, in every mode.
+  par::ThreadPool pool(3);
+  const Scenario s;
+  for (const auto mode : {ParallelMode::kWindow, ParallelMode::kPagerank,
+                          ParallelMode::kNested}) {
+    for (const KernelKind kernel : {KernelKind::kSpmv, KernelKind::kSpmm}) {
+      for (const StorageKind storage :
+           {StorageKind::kInRam, StorageKind::kOutOfCore}) {
+        PostmortemConfig cfg;
+        cfg.pool = &pool;
+        cfg.mode = mode;
+        cfg.kernel = kernel;
+        cfg.storage = storage;
+        cfg.num_multi_windows = 3;
+        cfg.vector_length = 8;
+        expect_repeatable(s, cfg,
+                          std::string(to_string(mode)) + " " +
+                              std::string(to_string(kernel)) + " " +
+                              std::string(to_string(storage)));
+      }
+    }
   }
 }
 

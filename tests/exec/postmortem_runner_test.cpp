@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "par/parallel_for.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -73,6 +75,37 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(pinfo.param) ? "_partial" : "_full") + "_Y" +
              std::to_string(std::get<4>(pinfo.param));
     });
+
+TEST(PostmortemRunner, RunsInsideATaskOfAnotherPool) {
+  // The driver keeps its per-thread states in one slot per thread of
+  // cfg.pool plus a spare one. A worker of another pool is not a thread of
+  // cfg.pool, so its runs must take the spare slot, not the slot of its
+  // index in its own pool (past the end here: 8 workers, 2 slots).
+  const TemporalEdgeList events = test::random_events(29, 40, 2500, 20000);
+  const WindowSpec spec = WindowSpec::cover(0, 20000, 5000, 900);
+  par::ThreadPool one(1);
+  par::ThreadPool outer(8);
+  for (const auto mode : {ParallelMode::kWindow, ParallelMode::kPagerank,
+                          ParallelMode::kNested}) {
+    PostmortemConfig cfg = base_config();
+    cfg.mode = mode;
+    cfg.pool = &one;
+    StoreAllSink expected(spec.count);
+    run_postmortem(events, spec, expected, cfg);
+
+    std::vector<StoreAllSink> got(16, StoreAllSink(spec.count));
+    par::parallel_for(0, got.size(), {par::Partitioner::kSimple, 1, &outer},
+                      [&](std::size_t i) {
+                        run_postmortem(events, spec, got[i], cfg);
+                      });
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      for (std::size_t w = 0; w < spec.count; ++w) {
+        ASSERT_EQ(got[i].window(w), expected.window(w))
+            << to_string(mode) << " run " << i << " window " << w;
+      }
+    }
+  }
+}
 
 TEST(PostmortemRunner, PartialInitReducesTotalIterations) {
   // Heavily overlapping windows so successive graphs are similar.

@@ -37,8 +37,11 @@ PostmortemConfig base_config(KernelKind kernel, ParallelMode mode) {
   cfg.num_multi_windows = 4;
   cfg.vector_length = 8;
   cfg.validate = true;
-  // Nested-mode partial-init chains depend on thread scheduling; exact
-  // cross-run equality needs the deterministic modes or partial_init off.
+  // Partial init chains only inside a leaf chunk. The in-RAM driver splits
+  // the whole item list into chunks, the paged driver one part at a time,
+  // so their chunk layouts, and with them the chains, match only in
+  // kPagerank mode (one chain over every item); elsewhere the kinds agree
+  // exactly only with partial_init off.
   cfg.partial_init = mode == ParallelMode::kPagerank;
   return cfg;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -198,6 +199,49 @@ TEST(FlightRecorder, ConcurrentDrainsSeeEachEventExactlyOnce) {
   }
   EXPECT_EQ(ids.size(), kEvents);
   EXPECT_EQ(obs::flight_recorder_stats().drains, 8u);
+}
+
+TEST(FlightRecorder, DrainRacingAWriterReturnsEveryEventOnce) {
+  // A drain can reach a slot its writer has claimed but not filled in
+  // yet; that event must come out of a later drain, neither lost nor
+  // returned twice. Each round the writer records fewer events than one
+  // ring holds and a drain after the round empties the ring, so nothing is
+  // dropped and every id must come out exactly once.
+  FlightRecGuard guard;
+  obs::set_flight_recorder_enabled(true);
+  constexpr std::uint64_t kRounds = 300;
+  constexpr std::uint64_t kPerRound = 100;
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<std::uint64_t> finished{0};
+  std::thread writer([&] {
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      while (started.load() <= r) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerRound; ++i) {
+        obs::fr_record(obs::FrEvent::kMark, "fr.test.writer",
+                       r * kPerRound + i);
+      }
+      finished.store(r + 1);
+    }
+  });
+  std::vector<obs::FlightEvent> drained;
+  const auto drain = [&] {
+    const std::vector<obs::FlightEvent> got = obs::drain_flight_recorder();
+    drained.insert(drained.end(), got.begin(), got.end());
+  };
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    started.store(r + 1);
+    while (finished.load() <= r) drain();
+    drain();
+  }
+  writer.join();
+  std::vector<int> seen(kRounds * kPerRound, 0);
+  for (const obs::FlightEvent& e : named(drained, "fr.test.writer")) {
+    ASSERT_LT(e.a, seen.size());
+    ++seen[e.a];
+  }
+  for (std::size_t id = 0; id < seen.size(); ++id) {
+    ASSERT_EQ(seen[id], 1) << "event " << id;
+  }
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "par/task_group.hpp"
@@ -197,8 +199,8 @@ TEST(ParallelReduceSlots, ExternalPoolAndAllPartitioners) {
 }
 
 TEST(ParallelReduceSlots, NestedInsideParallelFor) {
-  // Slot indexing must stay correct when the reduce runs from inside a
-  // worker of the same pool (the nested-parallelism path in the runner).
+  // The reduce must stay correct when it runs from inside a worker of the
+  // same pool (the nested-parallelism path in the runner).
   ThreadPool pool(3);
   ForOptions outer{Partitioner::kSimple, 1, &pool};
   std::vector<std::uint64_t> results(8, 0);
@@ -212,6 +214,61 @@ TEST(ParallelReduceSlots, NestedInsideParallelFor) {
         [](std::uint64_t a, std::uint64_t b) { return a + b; });
   });
   for (const std::uint64_t r : results) EXPECT_EQ(r, 1000u);
+}
+
+TEST(ParallelReduceSlots, CombinesChunksInRangeOrder) {
+  // Concatenation does not commute, so the result shows the combine
+  // order: one partial per effective_grain()-wide chunk, combined in range
+  // order however the pool scheduled the chunks.
+  using Chunks = std::vector<std::pair<std::size_t, std::size_t>>;
+  constexpr std::size_t kBegin = 5;
+  constexpr std::size_t kEnd = 1005;
+  ThreadPool pool(4);
+  for (const auto p :
+       {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
+    const ForOptions opts{p, 8, &pool};
+    const std::size_t g =
+        effective_grain(p, kEnd - kBegin, opts.grain, pool.num_threads());
+    for (int call = 0; call < 20; ++call) {
+      const Chunks got = parallel_reduce_slots(
+          kBegin, kEnd, Chunks{}, opts,
+          [](std::size_t lo, std::size_t hi) { return Chunks{{lo, hi}}; },
+          [](Chunks a, const Chunks& b) {
+            a.insert(a.end(), b.begin(), b.end());
+            return a;
+          });
+      ASSERT_EQ(got.size(), (kEnd - kBegin + g - 1) / g) << to_string(p);
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        ASSERT_EQ(got[c].first, kBegin + c * g) << to_string(p);
+        ASSERT_EQ(got[c].second, std::min(kEnd, kBegin + (c + 1) * g))
+            << to_string(p);
+      }
+    }
+  }
+}
+
+TEST(ParallelReduceSlots, RepeatedCallsAreBitIdentical) {
+  // Floating-point addition does not associate: partials folded in the
+  // order threads happened to run them would change the last bits from
+  // call to call.
+  ThreadPool pool(3);
+  const ForOptions opts{Partitioner::kSimple, 16, &pool};
+  const auto harmonic = [&] {
+    return parallel_reduce_slots(
+        0, 20000, 0.0, opts,
+        [](std::size_t lo, std::size_t hi) {
+          double s = 0.0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            s += 1.0 / static_cast<double>(i + 1);
+          }
+          return s;
+        },
+        [](double a, double b) { return a + b; });
+  };
+  const double first = harmonic();
+  for (int call = 0; call < 50; ++call) {
+    ASSERT_EQ(harmonic(), first) << "call " << call;
+  }
 }
 
 TEST(TaskGroup, RunsAllTasks) {
