@@ -24,13 +24,12 @@ namespace pmpr {
 
 namespace {
 
-/// Per-execution-context scratch. Leased per leaf chunk from the stack of
-/// the thread's slot, so a thread reuses its buffers across chunks; the
-/// rare nested-steal reentrancy gets a fresh state instead of corrupting
-/// the busy one. Partial initialization (§4.3.1) chains only between
-/// consecutive items of one leased chunk: the lease drops the carry, so
-/// whether an item starts from its predecessor never depends on which
-/// chunk its thread ran before.
+/// Per-execution-context scratch. Leased per leaf chunk from the driver's
+/// free list, so later chunks reuse its buffers; a thread that runs a
+/// stolen chunk inside a nested wait holds a second lease. Partial
+/// initialization (§4.3.1) chains only between consecutive items of one
+/// leased chunk: the lease drops the carry, so whether an item starts from
+/// its predecessor never depends on which chunk the state served before.
 struct ThreadState {
   WindowState ws;
   SpmmWindowState spmm_ws;
@@ -153,8 +152,7 @@ class PostmortemDriver {
         sink_(sink),
         cfg_(cfg),
         result_(result) {
-    pool_ = cfg.pool != nullptr ? cfg.pool : &par::ThreadPool::global();
-    for_opts_ = par::ForOptions{cfg.partitioner, cfg.grain, pool_};
+    for_opts_ = par::ForOptions{cfg.partitioner, cfg.grain, cfg.pool};
     kernel_par_ =
         cfg.mode == ParallelMode::kWindow ? nullptr : &for_opts_;
 
@@ -173,8 +171,6 @@ class PostmortemDriver {
               : batching_for(part.num_windows, cfg.vector_length).num_batches;
       for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
     }
-
-    state_stacks_ = std::make_unique<StateStack[]>(pool_->num_threads() + 1);
   }
 
   void run() {
@@ -205,25 +201,16 @@ class PostmortemDriver {
   }
 
  private:
-  /// The idle states of one thread slot of pool_ (ThreadPool::reduce_slot).
-  /// A worker's slot has one thread; the spare slot is shared by every
-  /// thread outside pool_ that runs this run's tasks (the caller, and any
-  /// thread whose wait on pool_ picks one up), hence the lock.
-  struct StateStack {
-    Mutex mu;
-    std::vector<std::unique_ptr<ThreadState>> idle PMPR_GUARDED_BY(mu);
-  };
-
-  /// RAII acquisition of a state from the current thread's slot. Taking a
-  /// lease drops the state's partial-init carry.
+  /// RAII acquisition of an idle state from the driver's free list (a new
+  /// one when the list is empty). Taking a lease drops the state's
+  /// partial-init carry.
   struct StateLease {
-    explicit StateLease(PostmortemDriver& driver)
-        : stack(driver.state_stacks_[driver.pool_->reduce_slot()]) {
+    explicit StateLease(PostmortemDriver& owner) : driver(owner) {
       {
-        LockGuard lock(stack.mu);
-        if (!stack.idle.empty()) {
-          state_holder = std::move(stack.idle.back());
-          stack.idle.pop_back();
+        LockGuard lock(driver.idle_mu_);
+        if (!driver.idle_states_.empty()) {
+          state_holder = std::move(driver.idle_states_.back());
+          driver.idle_states_.pop_back();
         }
       }
       if (state_holder == nullptr) {
@@ -233,10 +220,10 @@ class PostmortemDriver {
       state->carry_part = SIZE_MAX;
     }
     ~StateLease() {
-      LockGuard lock(stack.mu);
-      stack.idle.push_back(std::move(state_holder));
+      LockGuard lock(driver.idle_mu_);
+      driver.idle_states_.push_back(std::move(state_holder));
     }
-    StateStack& stack;
+    PostmortemDriver& driver;
     std::unique_ptr<ThreadState> state_holder;
     ThreadState* state = nullptr;
   };
@@ -431,11 +418,15 @@ class PostmortemDriver {
   ResultSink& sink_;
   const PostmortemConfig& cfg_;
   RunResult& result_;
-  par::ThreadPool* pool_ = nullptr;
   par::ForOptions for_opts_;
   const par::ForOptions* kernel_par_ = nullptr;
   std::vector<WorkItem> items_;
-  std::unique_ptr<StateStack[]> state_stacks_;
+  /// States no lease holds. Every thread that runs this run's chunks (the
+  /// pool's workers, the caller, and any thread whose wait on the pool
+  /// picks one up) leases from here, hence the lock.
+  Mutex idle_mu_;
+  std::vector<std::unique_ptr<ThreadState>> idle_states_
+      PMPR_GUARDED_BY(idle_mu_);
 };
 
 /// Folds the run's memory accounting into `result` (which must already

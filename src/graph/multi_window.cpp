@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "par/task_group.hpp"
+#include "par/parallel_for.hpp"
 #include "util/check.hpp"
 
 namespace pmpr {
@@ -135,21 +135,19 @@ MultiWindowSet MultiWindowSet::build(const TemporalEdgeList& events,
   const std::vector<std::size_t> boundaries =
       partition_boundaries(events, spec, num_parts, policy);
 
-  par::TaskGroup group;
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    const std::size_t first = boundaries[p];
-    const std::size_t last = boundaries[p + 1];  // exclusive
-    const std::size_t nwin = last - first;
-    if (nwin == 0) continue;
-    const Timestamp span_start = spec.start(first);
-    const Timestamp span_end = spec.end(last - 1);
-    group.run([&set, &events, p, first, nwin, span_start, span_end] {
-      set.parts_[p] = build_multi_window_part(
-          events.slice(span_start, span_end), first, nwin, span_start,
-          span_end);
-    });
-  }
-  group.wait();
+  // One task per part, on the global pool.
+  par::parallel_for(0, num_parts, {par::Partitioner::kSimple, 1},
+                    [&](std::size_t p) {
+                      const std::size_t first = boundaries[p];
+                      const std::size_t last = boundaries[p + 1];  // exclusive
+                      const std::size_t nwin = last - first;
+                      if (nwin == 0) return;
+                      const Timestamp span_start = spec.start(first);
+                      const Timestamp span_end = spec.end(last - 1);
+                      set.parts_[p] = build_multi_window_part(
+                          events.slice(span_start, span_end), first, nwin,
+                          span_start, span_end);
+                    });
 
   // Drop any empty parts created when num_parts > count (defensive; the
   // clamp above should prevent it).

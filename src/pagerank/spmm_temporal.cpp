@@ -80,7 +80,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   const std::size_t dangling_rows = compiled.dangling_rows.size();
   auto dangling_of = [&](const double* cur, const std::uint64_t* live_mask) {
     if (parallel != nullptr) {
-      return par::parallel_reduce_slots(
+      return par::parallel_reduce(
           0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {
             return dangling_scan_compiled(compiled, cur, lanes, live_mask, lo,
@@ -96,7 +96,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
                    LaneVec& diff) {
     obs::count(isa_counter);
     if (parallel != nullptr) {
-      diff = par::parallel_reduce_slots(
+      diff = par::parallel_reduce(
           0, rows, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {
             LaneVec local(lanes, 0.0);

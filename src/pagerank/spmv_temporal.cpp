@@ -85,7 +85,7 @@ PagerankStats pagerank_window_spmv(const WindowState& state,
 
     double diff = 0.0;
     if (parallel != nullptr) {
-      diff = par::parallel_reduce_slots(
+      diff = par::parallel_reduce(
           0, rows, 0.0, *parallel,
           [&](std::size_t lo, std::size_t hi) {
             return sweep_rows(compiled, state, cur_span, next_span, base,

@@ -8,10 +8,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <vector>
 
-#include "par/task_group.hpp"
+#include "par/parallel_for.hpp"
 
 namespace pmpr {
 
@@ -27,12 +28,13 @@ void merge_sort_rec(T* data, T* buffer, std::size_t lo, std::size_t hi,
     return;
   }
   const std::size_t mid = lo + n / 2;
-  {
-    par::TaskGroup group(&pool);
-    group.run([&] { merge_sort_rec(data, buffer, lo, mid, less, cutoff, pool); });
-    merge_sort_rec(data, buffer, mid, hi, less, cutoff, pool);
-    group.wait();
-  }
+  // Sort the two halves as a loop of two items, one task each.
+  const std::array<std::size_t, 3> bounds{lo, mid, hi};
+  par::parallel_for(0, 2, {par::Partitioner::kSimple, 1, &pool},
+                    [&](std::size_t half) {
+                      merge_sort_rec(data, buffer, bounds[half],
+                                     bounds[half + 1], less, cutoff, pool);
+                    });
   // Merge into the buffer, then move back. Stability: on ties take left.
   std::merge(std::make_move_iterator(data + lo),
              std::make_move_iterator(data + mid),

@@ -35,8 +35,10 @@ enum class Partitioner {
   return "?";
 }
 
-/// The chunk size a partitioner actually splits down to, for a range of `n`
-/// items on `threads` workers with requested grain `grain`.
+/// The chunk size g a partitioner splits down to, for a range of `n` items
+/// on `threads` workers with requested grain `grain`: the leaves of
+/// parallel_for_range over [begin, end) are exactly the chunks
+/// [begin + c·g, min(end, begin + (c+1)·g)), c < ceil(n / g).
 [[nodiscard]] inline std::size_t effective_grain(Partitioner p, std::size_t n,
                                                  std::size_t grain,
                                                  std::size_t threads) {

@@ -76,16 +76,6 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-int ThreadPool::current_worker_index() {
-  return tls_worker.pool != nullptr ? tls_worker.index : -1;
-}
-
-std::size_t ThreadPool::reduce_slot() const {
-  return tls_worker.pool == this && tls_worker.index >= 0
-             ? static_cast<std::size_t>(tls_worker.index)
-             : num_threads();
-}
-
 std::size_t ThreadPool::approx_queued(std::size_t index) const {
   return index < deques_.size() ? deques_[index]->approx_depth() : 0;
 }

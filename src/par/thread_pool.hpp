@@ -121,21 +121,6 @@ class ThreadPool : public obs::SchedulerProbe {
   /// Rethrows the first exception any task of the group raised.
   void wait(WaitGroup& wg);
 
-  /// Index of the current thread in the pool it works for: [0,
-  /// num_threads) for a worker of *any* pool, -1 for every other thread.
-  /// It does not say which pool; index one pool's per-thread arrays with
-  /// reduce_slot().
-  [[nodiscard]] static int current_worker_index();
-
-  /// Slot index of the current thread for per-thread arrays of size
-  /// num_threads() + 1: a worker of *this* pool gets its worker index,
-  /// which no other thread shares; any other thread — including a worker
-  /// of a different pool — gets the spare last slot. Every thread that
-  /// waits on this pool helps with whatever task it finds, so several
-  /// threads outside the pool can run its tasks at once and the spare slot
-  /// needs a lock.
-  [[nodiscard]] std::size_t reduce_slot() const;
-
   // Monitoring introspection (the obs::SchedulerProbe contract, consumed
   // by obs::Sampler). All are safe to call from any thread while the pool
   // runs; values are advisory gauges — in-flight pushes/pops/steals and

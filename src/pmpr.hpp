@@ -47,7 +47,6 @@
 #include "obs/watchdog.hpp"            // IWYU pragma: export
 #include "pagerank/pagerank.hpp"       // IWYU pragma: export
 #include "par/parallel_for.hpp"        // IWYU pragma: export
-#include "par/task_group.hpp"          // IWYU pragma: export
 #include "util/options.hpp"            // IWYU pragma: export
 #include "util/stats.hpp"              // IWYU pragma: export
 #include "util/table.hpp"              // IWYU pragma: export

@@ -6,7 +6,8 @@ layers.toml at the fixture root plus a src/ tree. The analyzer runs with
 --root <fixture> --pass all, and the test asserts:
 
   * every bad_* fixture exits non-zero and reports exactly its expected
-    rule id (and no other rule),
+    rule id (and no other rule), once per violation site where
+    EXPECTED_FINDINGS counts the sites,
   * the clean fixture — which exercises legal includes, a macro with a
     direct include, consistent lock order, a condvar wait, and a
     submit-after-unlock — exits zero with no findings.
@@ -30,6 +31,13 @@ EXPECTED = {
     "bad_internal_leak": "internal-header-leak",
     "bad_transitive_macro": "transitive-macro-include",
     "clean": None,
+}
+
+# Fixtures with more than one violation site -> how many findings they
+# must report (one per site).
+EXPECTED_FINDINGS = {
+    # pool.submit() and parallel_reduce() under a LockGuard.
+    "bad_lock_across_submit": 2,
 }
 
 # Only finding lines (`rel:line: [rule] msg`), not the `pmpr-analyze[all]:`
@@ -74,7 +82,8 @@ def main():
         if not fixture.exists():
             continue
         proc = run_analyze(root, fixture)
-        got_rules = set(RULE_RE.findall(proc.stdout))
+        found = RULE_RE.findall(proc.stdout)
+        got_rules = set(found)
         if want_rule is None:
             if proc.returncode != 0 or got_rules:
                 failures.append(
@@ -90,6 +99,11 @@ def main():
                 failures.append(
                     f"{name}: expected exactly [{want_rule}], got "
                     f"{sorted(got_rules)}\n{proc.stdout}{proc.stderr}"
+                )
+            elif len(found) != EXPECTED_FINDINGS.get(name, len(found)):
+                failures.append(
+                    f"{name}: expected {EXPECTED_FINDINGS[name]} findings, "
+                    f"got {len(found)}\n{proc.stdout}{proc.stderr}"
                 )
             else:
                 print(f"ok   {name}: tripped [{want_rule}] only")

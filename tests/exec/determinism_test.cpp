@@ -1,4 +1,5 @@
-// Determinism and thread-count independence of the postmortem driver.
+// Determinism of the three execution models, and thread-count
+// independence of the postmortem driver.
 //
 // Pull-style kernels sum each vertex's contributions in a fixed order, and
 // task partitioning never changes that order. Partial initialization
@@ -8,16 +9,22 @@
 // combine one partial per leaf along the fixed split tree. So two runs on
 // one pool are bit-identical however their chunks were scheduled: whether
 // an item starts from its predecessor never depends on which chunk its
-// thread ran before (DESIGN §6; the ctest exec.determinism_repeat runs
-// these suites twenty times). Across pool sizes the leaf chunks differ, so
-// the ranks agree only to a tolerance; kPagerank mode runs windows
-// strictly in order on one state and keeps its iteration counts.
+// thread ran before. The offline and streaming kernels reduce their
+// residuals along the same kind of tree (DESIGN §6; the ctest
+// exec.determinism_repeat runs these suites twenty times). Across pool
+// sizes the leaf chunks differ, so the ranks agree only to a tolerance;
+// kPagerank mode runs windows strictly in order on one state and keeps
+// its iteration counts.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "exec/offline_runner.hpp"
 #include "exec/postmortem_runner.hpp"
+#include "exec/streaming_runner.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -104,6 +111,61 @@ TEST(Determinism, RepeatedRunsBitwiseIdenticalEveryModeKernelStorage) {
       }
     }
   }
+}
+
+/// A run of any model: its result record and every window's ranks.
+struct ModelRun {
+  RunResult result;
+  std::vector<std::vector<std::pair<VertexId, double>>> ranks;
+};
+
+template <typename Model>
+ModelRun run_model(const Scenario& s, const Model& model) {
+  StoreAllSink sink(s.spec.count);
+  ModelRun out{model(sink), {}};
+  for (std::size_t w = 0; w < s.spec.count; ++w) {
+    out.ranks.push_back(sink.window(w));
+  }
+  return out;
+}
+
+void expect_same_run(const ModelRun& a, const ModelRun& b,
+                     std::string_view label) {
+  EXPECT_EQ(a.result.iterations_per_window, b.result.iterations_per_window)
+      << label;
+  ASSERT_EQ(a.result.final_residuals.size(), b.result.final_residuals.size())
+      << label;
+  for (std::size_t w = 0; w < a.result.final_residuals.size(); ++w) {
+    EXPECT_EQ(a.result.final_residuals[w], b.result.final_residuals[w])
+        << label << " window " << w;
+  }
+  EXPECT_EQ(a.ranks, b.ranks) << label;
+}
+
+TEST(Determinism, OfflineAndStreamingRepeatBitIdentical) {
+  // The other two models with parallel kernels: every residual goes
+  // through parallel_reduce, whose split tree is fixed by the range, the
+  // options and the pool size, so iterations, residuals and ranks repeat
+  // bit for bit.
+  par::ThreadPool pool(3);
+  const Scenario s{test::random_events(907, 2000, 30000, 50000),
+                   WindowSpec::cover(0, 50000, 9000, 2500)};
+  OfflineOptions offline;
+  offline.parallel_kernel = true;
+  offline.pool = &pool;
+  const auto offline_model = [&](ResultSink& sink) {
+    return run_offline(s.events, s.spec, sink, offline);
+  };
+  expect_same_run(run_model(s, offline_model), run_model(s, offline_model),
+                  "offline");
+  StreamingOptions streaming;
+  streaming.parallel_kernel = true;
+  streaming.pool = &pool;
+  const auto streaming_model = [&](ResultSink& sink) {
+    return run_streaming(s.events, s.spec, sink, streaming);
+  };
+  expect_same_run(run_model(s, streaming_model),
+                  run_model(s, streaming_model), "streaming");
 }
 
 TEST(Determinism, PoolSizeDoesNotChangeResults) {

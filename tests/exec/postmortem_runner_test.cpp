@@ -77,10 +77,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PostmortemRunner, RunsInsideATaskOfAnotherPool) {
-  // The driver keeps its per-thread states in one slot per thread of
-  // cfg.pool plus a spare one. A worker of another pool is not a thread of
-  // cfg.pool, so its runs must take the spare slot, not the slot of its
-  // index in its own pool (past the end here: 8 workers, 2 slots).
+  // Runs started from the workers of another, larger pool lease their
+  // states from the same free list as any thread of cfg.pool, and 16 of
+  // them at once give the ranks of a run from the test thread.
   const TemporalEdgeList events = test::random_events(29, 40, 2500, 20000);
   const WindowSpec spec = WindowSpec::cover(0, 20000, 5000, 900);
   par::ThreadPool one(1);

@@ -314,7 +314,7 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
   const double one_minus_alpha = 1.0 - params.alpha;
   auto dangling_of = [&](const double* cur, const std::uint64_t* live_mask) {
     if (parallel != nullptr) {
-      return par::parallel_reduce_slots(
+      return par::parallel_reduce(
           0, n, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {
             return dangling_scan(state, cur, lanes, live_mask, lo, hi);
@@ -327,7 +327,7 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
                    const LaneVec& base, const std::uint64_t* live_mask,
                    LaneVec& diff) {
     if (parallel != nullptr) {
-      diff = par::parallel_reduce_slots(
+      diff = par::parallel_reduce(
           0, n, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {
             LaneVec local(lanes, 0.0);

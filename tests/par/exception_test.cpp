@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "par/parallel_for.hpp"
-#include "par/task_group.hpp"
 
 namespace pmpr::par {
 namespace {
@@ -78,19 +77,27 @@ TEST(ParExceptions, ParallelForSmallRangeInlinePathPropagates) {
       std::bad_alloc);
 }
 
-TEST(ParExceptions, TaskGroupWaitThrows) {
-  TaskGroup group;
-  group.run([] { throw std::runtime_error("from group"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-}
-
-TEST(ParExceptions, TaskGroupDestructorSwallows) {
-  // Must not terminate the process.
-  {
-    TaskGroup group;
-    group.run([] { throw std::runtime_error("dropped"); });
-  }
-  SUCCEED();
+TEST(ParExceptions, ParallelReducePropagates) {
+  // A chunk that throws leaves the splits above it unfinished; the
+  // reduction must rethrow rather than read a missing partial, and the
+  // pool must run the next loop.
+  ThreadPool pool(3);
+  const ForOptions opts{Partitioner::kSimple, 8, &pool};
+  const auto count = [](std::size_t lo, std::size_t hi) {
+    return static_cast<double>(hi - lo);
+  };
+  const auto add = [](double a, double b) { return a + b; };
+  EXPECT_THROW(parallel_reduce(
+                   0, 1000, 0.0, opts,
+                   [&](std::size_t lo, std::size_t hi) {
+                     if (lo <= 500 && 500 < hi) {
+                       throw std::out_of_range("chunk holding 500");
+                     }
+                     return count(lo, hi);
+                   },
+                   add),
+               std::out_of_range);
+  EXPECT_EQ(parallel_reduce(0, 1000, 0.0, opts, count, add), 1000.0);
 }
 
 TEST(ParExceptions, PoolUsableAfterException) {

@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "par/task_group.hpp"
-
 namespace pmpr::par {
 namespace {
 
@@ -105,6 +103,38 @@ TEST(ParallelFor, NestedParallelForCompletes) {
   EXPECT_EQ(total.load(), 20 * 50);
 }
 
+TEST(ParallelFor, LeavesAreEffectiveGrainChunks) {
+  // Each leaf is one chunk of effective_grain() items, so every
+  // partitioner makes the leaves partitioner.hpp documents: kStatic at
+  // most `threads`, kSimple exactly the grain, kAuto about 8 per thread.
+  using Leaves = std::vector<std::pair<std::size_t, std::size_t>>;
+  ThreadPool pool(3);
+  // The second range has prime length 997.
+  for (const auto& [begin, end] :
+       {std::pair<std::size_t, std::size_t>{5, 1005}, {11, 1008}}) {
+    for (const auto p :
+         {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
+      const std::size_t n = end - begin;
+      const std::size_t g = effective_grain(p, n, 8, pool.num_threads());
+      std::mutex m;
+      Leaves got;
+      parallel_for_range(begin, end, {p, 8, &pool},
+                         [&](std::size_t lo, std::size_t hi) {
+                           std::lock_guard<std::mutex> lock(m);
+                           got.emplace_back(lo, hi);
+                         });
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got.size(), (n + g - 1) / g) << to_string(p) << " n " << n;
+      if (got.size() != (n + g - 1) / g) continue;
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        ASSERT_EQ(got[c].first, begin + c * g) << to_string(p) << " n " << n;
+        ASSERT_EQ(got[c].second, std::min(end, begin + (c + 1) * g))
+            << to_string(p) << " n " << n;
+      }
+    }
+  }
+}
+
 TEST(ParallelReduce, SumsCorrectly) {
   constexpr std::size_t kN = 100000;
   const std::uint64_t got = parallel_reduce(
@@ -139,10 +169,15 @@ TEST(ParallelReduce, WorksUnderAllPartitioners) {
   }
 }
 
+// The ParallelReduceSlots cases keep the names they had when the reduction
+// with one partial per chunk was its own function; parallel_reduce is that
+// reduction now. They run on pools of their own, with many chunks.
+
 TEST(ParallelReduceSlots, SumsCorrectly) {
   constexpr std::size_t kN = 100000;
-  const std::uint64_t got = parallel_reduce_slots(
-      0, kN, std::uint64_t{0}, {},
+  ThreadPool pool(4);
+  const std::uint64_t got = parallel_reduce(
+      0, kN, std::uint64_t{0}, {Partitioner::kSimple, 64, &pool},
       [](std::size_t lo, std::size_t hi) {
         std::uint64_t s = 0;
         for (std::size_t i = lo; i < hi; ++i) s += i;
@@ -153,13 +188,32 @@ TEST(ParallelReduceSlots, SumsCorrectly) {
 }
 
 TEST(ParallelReduceSlots, EmptyRangeReturnsIdentity) {
-  const int got = parallel_reduce_slots(
-      7, 7, 42, {}, [](std::size_t, std::size_t) { return 0; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(got, 42);
+  ThreadPool pool(3);
+  for (const auto p :
+       {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
+    const int got = parallel_reduce(
+        7, 7, 42, {p, 1, &pool}, [](std::size_t, std::size_t) { return 0; },
+        [](int a, int b) { return a + b; });
+    EXPECT_EQ(got, 42) << to_string(p);
+  }
 }
 
-TEST(ParallelReduceSlots, ArrayAccumulator) {
+TEST(ParallelReduceSlots, ExternalPoolAndAllPartitioners) {
+  ThreadPool pool(4);
+  for (const auto p :
+       {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
+    ForOptions opts{p, 8, &pool};
+    const double got = parallel_reduce(
+        0, 1000, 0.0, opts,
+        [](std::size_t lo, std::size_t hi) {
+          return static_cast<double>(hi - lo);
+        },
+        [](double a, double b) { return a + b; });
+    EXPECT_DOUBLE_EQ(got, 1000.0) << to_string(p);
+  }
+}
+
+TEST(ParallelReduce, ArrayAccumulator) {
   // The lane-residual use case: a fixed-width array merged element-wise
   // without a mutex.
   constexpr std::size_t kLanes = 8;
@@ -167,7 +221,7 @@ TEST(ParallelReduceSlots, ArrayAccumulator) {
   constexpr std::size_t kN = 4096;
   ThreadPool pool(3);
   ForOptions opts{Partitioner::kAuto, 16, &pool};
-  const Acc got = parallel_reduce_slots(
+  const Acc got = parallel_reduce(
       0, kN, Acc{}, opts,
       [](std::size_t lo, std::size_t hi) {
         Acc a{};
@@ -183,22 +237,7 @@ TEST(ParallelReduceSlots, ArrayAccumulator) {
   }
 }
 
-TEST(ParallelReduceSlots, ExternalPoolAndAllPartitioners) {
-  ThreadPool pool(4);
-  for (const auto p :
-       {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
-    ForOptions opts{p, 8, &pool};
-    const double got = parallel_reduce_slots(
-        0, 1000, 0.0, opts,
-        [](std::size_t lo, std::size_t hi) {
-          return static_cast<double>(hi - lo);
-        },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(got, 1000.0) << to_string(p);
-  }
-}
-
-TEST(ParallelReduceSlots, NestedInsideParallelFor) {
+TEST(ParallelReduce, NestedInsideParallelFor) {
   // The reduce must stay correct when it runs from inside a worker of the
   // same pool (the nested-parallelism path in the runner).
   ThreadPool pool(3);
@@ -206,7 +245,7 @@ TEST(ParallelReduceSlots, NestedInsideParallelFor) {
   std::vector<std::uint64_t> results(8, 0);
   parallel_for(0, results.size(), outer, [&](std::size_t i) {
     ForOptions inner{Partitioner::kAuto, 16, &pool};
-    results[i] = parallel_reduce_slots(
+    results[i] = parallel_reduce(
         0, 1000, std::uint64_t{0}, inner,
         [](std::size_t lo, std::size_t hi) {
           return static_cast<std::uint64_t>(hi - lo);
@@ -216,7 +255,7 @@ TEST(ParallelReduceSlots, NestedInsideParallelFor) {
   for (const std::uint64_t r : results) EXPECT_EQ(r, 1000u);
 }
 
-TEST(ParallelReduceSlots, CombinesChunksInRangeOrder) {
+TEST(ParallelReduce, CombinesChunksInRangeOrder) {
   // Concatenation does not commute, so the result shows the combine
   // order: one partial per effective_grain()-wide chunk, combined in range
   // order however the pool scheduled the chunks.
@@ -230,7 +269,7 @@ TEST(ParallelReduceSlots, CombinesChunksInRangeOrder) {
     const std::size_t g =
         effective_grain(p, kEnd - kBegin, opts.grain, pool.num_threads());
     for (int call = 0; call < 20; ++call) {
-      const Chunks got = parallel_reduce_slots(
+      const Chunks got = parallel_reduce(
           kBegin, kEnd, Chunks{}, opts,
           [](std::size_t lo, std::size_t hi) { return Chunks{{lo, hi}}; },
           [](Chunks a, const Chunks& b) {
@@ -247,15 +286,14 @@ TEST(ParallelReduceSlots, CombinesChunksInRangeOrder) {
   }
 }
 
-TEST(ParallelReduceSlots, RepeatedCallsAreBitIdentical) {
+TEST(ParallelReduce, RepeatedCallsAreBitIdentical) {
   // Floating-point addition does not associate: partials folded in the
-  // order threads happened to run them would change the last bits from
+  // order threads happened to finish them would change the last bits from
   // call to call.
   ThreadPool pool(3);
-  const ForOptions opts{Partitioner::kSimple, 16, &pool};
-  const auto harmonic = [&] {
-    return parallel_reduce_slots(
-        0, 20000, 0.0, opts,
+  const auto harmonic = [&](const ForOptions& opts, std::size_t n) {
+    return parallel_reduce(
+        0, n, 0.0, opts,
         [](std::size_t lo, std::size_t hi) {
           double s = 0.0;
           for (std::size_t i = lo; i < hi; ++i) {
@@ -265,55 +303,16 @@ TEST(ParallelReduceSlots, RepeatedCallsAreBitIdentical) {
         },
         [](double a, double b) { return a + b; });
   };
-  const double first = harmonic();
-  for (int call = 0; call < 50; ++call) {
-    ASSERT_EQ(harmonic(), first) << "call " << call;
+  for (const auto& [opts, n] :
+       {std::pair<ForOptions, std::size_t>{{Partitioner::kSimple, 16, &pool},
+                                           20000},
+        {{Partitioner::kAuto, 1, &pool}, 2000000}}) {
+    const double first = harmonic(opts, n);
+    for (int call = 0; call < 200; ++call) {
+      ASSERT_EQ(harmonic(opts, n), first)
+          << to_string(opts.partitioner) << " call " << call;
+    }
   }
-}
-
-TEST(TaskGroup, RunsAllTasks) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    group.run([&] { ran.fetch_add(1); });
-  }
-  group.wait();
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(TaskGroup, WaitIsReentrant) {
-  TaskGroup group;
-  std::atomic<int> ran{0};
-  group.run([&] { ran.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(ran.load(), 1);
-  group.run([&] { ran.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(TaskGroup, DestructorWaits) {
-  std::atomic<int> ran{0};
-  {
-    TaskGroup group;
-    for (int i = 0; i < 32; ++i) group.run([&] { ran.fetch_add(1); });
-  }
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(TaskGroup, NestedGroups) {
-  std::atomic<int> ran{0};
-  TaskGroup outer;
-  for (int i = 0; i < 8; ++i) {
-    outer.run([&] {
-      TaskGroup inner;
-      for (int j = 0; j < 8; ++j) inner.run([&] { ran.fetch_add(1); });
-      inner.wait();
-    });
-  }
-  outer.wait();
-  EXPECT_EQ(ran.load(), 64);
 }
 
 }  // namespace

@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "par/parallel_for.hpp"
-#include "par/task_group.hpp"
 #include "util/rng.hpp"
 
 namespace pmpr::par {
@@ -18,23 +19,21 @@ TEST(ParStress, RandomizedForkJoinGraph) {
   ThreadPool pool(3);
   std::atomic<std::uint64_t> work{0};
 
-  // Each task randomly spawns 0-3 children up to a depth limit; total task
-  // count is checked against an deterministic replay of the same decisions.
-  std::function<void(TaskGroup&, std::uint64_t, int)> spawn =
-      [&](TaskGroup& group, std::uint64_t seed, int depth) {
-        work.fetch_add(1, std::memory_order_relaxed);
-        if (depth >= 6) return;
-        Xoshiro256 rng(seed);
-        const auto children = rng.bounded(4);
-        for (std::uint64_t c = 0; c < children; ++c) {
-          const std::uint64_t child_seed = rng();
-          group.run([&, child_seed, depth] {
-            TaskGroup inner(&pool);
-            spawn(inner, child_seed, depth + 1);
-            inner.wait();
-          });
-        }
-      };
+  // Each task randomly spawns 0-3 children, as one nested loop, up to a
+  // depth limit; total task count is checked against a deterministic
+  // replay of the same decisions.
+  const ForOptions opts{Partitioner::kSimple, 1, &pool};
+  std::function<void(std::uint64_t, int)> spawn = [&](std::uint64_t seed,
+                                                      int depth) {
+    work.fetch_add(1, std::memory_order_relaxed);
+    if (depth >= 6) return;
+    Xoshiro256 rng(seed);
+    std::vector<std::uint64_t> child_seeds(rng.bounded(4));
+    for (std::uint64_t& child_seed : child_seeds) child_seed = rng();
+    parallel_for(0, child_seeds.size(), opts, [&](std::size_t c) {
+      spawn(child_seeds[c], depth + 1);
+    });
+  };
 
   std::function<std::uint64_t(std::uint64_t, int)> count =
       [&](std::uint64_t seed, int depth) -> std::uint64_t {
@@ -48,9 +47,7 @@ TEST(ParStress, RandomizedForkJoinGraph) {
     return total;
   };
 
-  TaskGroup root(&pool);
-  spawn(root, 42, 0);
-  root.wait();
+  spawn(42, 0);
   EXPECT_EQ(work.load(), count(42, 0));
 }
 

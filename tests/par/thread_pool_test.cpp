@@ -83,29 +83,6 @@ TEST(ThreadPool, NestedWaitDoesNotDeadlockOnOneThread) {
   EXPECT_EQ(ran.load(), 11);
 }
 
-TEST(ThreadPool, CurrentWorkerIndexOutsidePoolIsMinusOne) {
-  EXPECT_EQ(ThreadPool::current_worker_index(), -1);
-}
-
-TEST(ThreadPool, CurrentWorkerIndexInsideWorkerIsValid) {
-  // Tasks run either on a pool worker (index in [0, 3)) or on the external
-  // thread helping inside wait() (index -1). Nothing else is legal.
-  ThreadPool pool(3);
-  std::atomic<int> bad{0};
-  WaitGroup wg;
-  for (int i = 0; i < 100; ++i) {
-    wg.add(1);
-    pool.submit(
-        [&] {
-          const int idx = ThreadPool::current_worker_index();
-          if (idx < -1 || idx >= 3) bad.fetch_add(1);
-        },
-        wg);
-  }
-  pool.wait(wg);
-  EXPECT_EQ(bad.load(), 0);
-}
-
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   ThreadPool& a = ThreadPool::global();
   ThreadPool& b = ThreadPool::global();
