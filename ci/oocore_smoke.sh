@@ -5,6 +5,8 @@
 # the compressed working set — and asserts that
 #   * the paged run completes and its checksum line is BYTE-identical to
 #     the in-RAM run's (the bit-identical-ranks guarantee, end to end),
+#     once on the default pool and once on 3 workers with leaves that
+#     straddle parts,
 #   * paging actually happened (evictions > 0: the budget really was
 #     smaller than the working set, so the run could not just cache
 #     everything),
@@ -113,3 +115,23 @@ print(f"oocore smoke OK: checksum match, {evictions} evictions, "
       f"(measured {measured_b} B vs charged {charged_b} B), "
       f"RSS {rss_paged} vs {rss_ram} bytes")
 EOF
+
+# Leaves that straddle parts: on 3 workers, 500 windows over 6 parts make
+# leaves that the part sizes do not divide (the 16-part pair above has one
+# batch per part, so it cannot tell how a driver cuts its work list). The
+# paged run must cut the in-RAM run's leaves, clipped at part boundaries,
+# and so print the same checksum.
+SPLIT=(--model postmortem --dataset wiki-talk --scale 1.0
+       --max-windows 500 --parts 6)
+PMPR_THREADS=3 "$BIN" "${SPLIT[@]}" --storage in-ram \
+    > "$OUT/OOCORE_split_in_ram.txt"
+PMPR_THREADS=3 "$BIN" "${SPLIT[@]}" --storage out-of-core \
+    --memory-budget-mb 0 > "$OUT/OOCORE_split_paged.txt"
+ram_sum=$(grep '^checksum' "$OUT/OOCORE_split_in_ram.txt" || true)
+paged_sum=$(grep '^checksum' "$OUT/OOCORE_split_paged.txt" || true)
+if [[ -z "$ram_sum" || "$ram_sum" != "$paged_sum" ]]; then
+  echo "3-worker paged ranks diverge from in-RAM: '$ram_sum' vs" \
+       "'$paged_sum'" >&2
+  exit 1
+fi
+echo "oocore smoke OK: 3-worker 6-part checksums match ($ram_sum)"

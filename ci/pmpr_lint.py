@@ -20,7 +20,7 @@ cannot express:
 
   reinterpret-cast-outside-io
                             reinterpret_cast is confined to the binary-IO
-                            translation units (edge_list.cpp, export.cpp).
+                            translation unit (edge_list.cpp).
 
   naked-new-delete          No `new` / `delete` expressions outside
                             ws_deque.hpp (whose lock-free buffer handoff
@@ -121,7 +121,6 @@ ALLOW = {
     },
     "reinterpret-cast-outside-io": {
         "src/graph/edge_list.cpp",
-        "src/exec/export.cpp",
         # Pointer-to-integer for the fault address in the crash banner
         # (void* si_addr -> u64). No aliasing — the integer is only
         # formatted, never dereferenced.

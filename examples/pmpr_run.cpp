@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 
+#include "pagerank/window_state.hpp"
 #include "pmpr.hpp"
 
 using namespace pmpr;

@@ -3,10 +3,9 @@
 // Runners hand every window's converged vector to a ResultSink. Sinks let
 // benchmarks avoid materializing all m vectors (ChecksumSink) while tests
 // and applications keep them (StoreAllSink) — the paper notes downstream
-// analyses consume the whole time series (§2.2), which is exactly what
-// analysis/timeseries.hpp does with a StoreAllSink. Lives in analysis/
-// (below exec/ in the module DAG, ci/layers.toml) so those consumers never
-// depend on the runners.
+// analyses consume the whole time series (§2.2). Lives in analysis/ (below
+// exec/ in the module DAG, ci/layers.toml), so a sink never depends on the
+// runners.
 #pragma once
 
 #include <cstddef>

@@ -67,10 +67,8 @@ struct PostmortemConfig {
   SimdMode simd = SimdMode::kAuto;
   bool partial_init = true;
   /// Representation storage: raw in-RAM (default) or the mmap-backed
-  /// out-of-core store. Ranks are bit-identical across the two in
-  /// kPagerank mode or with partial_init off; elsewhere the paged driver
-  /// splits the work list a part at a time, so partial initialization
-  /// chains differently (DESIGN.md §6).
+  /// out-of-core store. Ranks are bit-identical across the two in every
+  /// mode (DESIGN.md §6).
   StorageKind storage = StorageKind::kInRam;
   /// kOutOfCore only: hard cap on resident compressed payload bytes. 0 =
   /// "one part at a time" (the cap adjusts to the largest part).

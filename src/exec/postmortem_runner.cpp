@@ -156,10 +156,9 @@ class PostmortemDriver {
     kernel_par_ =
         cfg.mode == ParallelMode::kWindow ? nullptr : &for_opts_;
 
-    // One work-item list spanning all parts, ordered by part then index so
-    // contiguous chunks chain partial initialization. The paged driver
-    // additionally relies on this order: items of one part are contiguous,
-    // so a single lease covers a maximal run.
+    // One work-item list spanning all parts, ordered by part then index, so
+    // consecutive items chain partial initialization and each part's items
+    // are contiguous.
     const std::size_t num_parts =
         set != nullptr ? set->num_parts() : paged->num_parts();
     for (std::size_t p = 0; p < num_parts; ++p) {
@@ -171,6 +170,12 @@ class PostmortemDriver {
               : batching_for(part.num_windows, cfg.vector_length).num_batches;
       for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
     }
+    // The leaf grid: kPagerank runs every item in order as one chain;
+    // window and nested mode cut the whole list where parallel_for_range
+    // would, whichever storage kind serves it.
+    leaf_width_ = cfg.mode == ParallelMode::kPagerank || items_.empty()
+                      ? std::max<std::size_t>(items_.size(), 1)
+                      : par::chunk_width(for_opts_, items_.size());
   }
 
   void run() {
@@ -179,20 +184,19 @@ class PostmortemDriver {
     result_.final_residuals.assign(spec_.count, 0.0);
     result_.residual_trajectories.assign(spec_.count, {});
 
-    if (paged_ != nullptr) {
-      run_paged();
-    } else if (cfg_.mode == ParallelMode::kPagerank) {
-      // Windows strictly in order, parallelism inside the kernel only.
-      StateLease lease(*this);
-      for (const WorkItem& item : items_) process(*lease.state, item);
+    if (paged_ == nullptr) {
+      run_items(0, items_.size());
     } else {
-      par::parallel_for_range(
-          0, items_.size(), for_opts_, [this](std::size_t lo, std::size_t hi) {
-            StateLease lease(*this);
-            for (std::size_t i = lo; i < hi; ++i) {
-              process(*lease.state, items_[i]);
-            }
-          });
+      // Part-major: one pinned part at a time, so at most one part (plus
+      // LRU leftovers under the budget) is resident.
+      for (std::size_t lo = 0, hi = 0; lo < items_.size(); lo = hi) {
+        while (hi < items_.size() && items_[hi].part == items_[lo].part) ++hi;
+        PagedMultiWindowSet::Lease lease = paged_->acquire(items_[lo].part);
+        // Published to the workers by run_items' fork.
+        paged_part_ = &lease.part();
+        run_items(lo, hi);
+        paged_part_ = nullptr;
+      }
     }
 
     for (const int iters : result_.iterations_per_window) {
@@ -228,34 +232,22 @@ class PostmortemDriver {
     ThreadState* state = nullptr;
   };
 
-  /// Part-major paged execution: maximal runs of same-part items share one
-  /// pin lease; groups run strictly in sequence so at most one part (plus
-  /// LRU leftovers under the budget) is resident. Within a group the
-  /// configured mode applies as usual.
-  void run_paged() {
-    std::size_t i = 0;
-    while (i < items_.size()) {
-      const std::size_t p = items_[i].part;
-      std::size_t j = i;
-      while (j < items_.size() && items_[j].part == p) ++j;
-      PagedMultiWindowSet::Lease lease = paged_->acquire(p);
-      // Published to the workers by the parallel_for fork below.
-      paged_part_ = &lease.part();
-      if (cfg_.mode == ParallelMode::kPagerank) {
-        StateLease slease(*this);
-        for (std::size_t k = i; k < j; ++k) process(*slease.state, items_[k]);
-      } else {
-        par::parallel_for_range(
-            i, j, for_opts_, [this](std::size_t lo, std::size_t hi) {
-              StateLease slease(*this);
-              for (std::size_t k = lo; k < hi; ++k) {
-                process(*slease.state, items_[k]);
-              }
-            });
-      }
-      paged_part_ = nullptr;
-      i = j;
-    }
+  /// Runs every leaf [c·w, (c+1)·w) of the grid that meets [lo, hi),
+  /// clipped to it, with one state lease per leaf. A partial-init chain
+  /// already restarts at a part's first item, so clipping at part
+  /// boundaries changes no rank: in-RAM and paged runs are bit-identical.
+  void run_items(std::size_t lo, std::size_t hi) {
+    const std::size_t w = leaf_width_;
+    par::parallel_for(
+        lo / w, (hi + w - 1) / w,
+        par::ForOptions{par::Partitioner::kSimple, 1, cfg_.pool},
+        [this, lo, hi, w](std::size_t c) {
+          StateLease lease(*this);
+          const std::size_t end = std::min(hi, (c + 1) * w);
+          for (std::size_t i = std::max(lo, c * w); i < end; ++i) {
+            process(*lease.state, items_[i]);
+          }
+        });
   }
 
   /// The part an item reads: the pinned one under paged execution (the
@@ -410,9 +402,8 @@ class PostmortemDriver {
 
   const MultiWindowSet* set_ = nullptr;
   PagedMultiWindowSet* paged_ = nullptr;
-  /// Pinned part of the group run_paged() is currently processing.
-  /// Written between groups only (before the fork / after the join), read
-  /// by the workers.
+  /// The part the paged sweep has pinned. Written between parts only
+  /// (before the fork / after the join), read by the workers.
   const MultiWindowGraph* paged_part_ = nullptr;
   const WindowSpec spec_;
   ResultSink& sink_;
@@ -421,6 +412,8 @@ class PostmortemDriver {
   par::ForOptions for_opts_;
   const par::ForOptions* kernel_par_ = nullptr;
   std::vector<WorkItem> items_;
+  /// Items per leaf of the grid every run cuts items_ on.
+  std::size_t leaf_width_ = 1;
   /// States no lease holds. Every thread that runs this run's chunks (the
   /// pool's workers, the caller, and any thread whose wait on the pool
   /// picks one up) leases from here, hence the lock.

@@ -22,8 +22,8 @@ namespace pmpr {
 /// representation: raw in-RAM, or the mmap-backed out-of-core store paged
 /// under config.memory_budget_bytes (chunk-streaming compile; a budget that
 /// holds the store keeps every compressed part resident). Ranks are
-/// bit-identical across the two where their partial-init chains match:
-/// in kPagerank mode, or with partial_init off (DESIGN.md §6).
+/// bit-identical across the two in every mode: both cut the work list on
+/// one leaf grid, so partial initialization chains alike (DESIGN.md §6).
 RunResult run_postmortem(const TemporalEdgeList& events,
                          const WindowSpec& spec, ResultSink& sink,
                          const PostmortemConfig& config);

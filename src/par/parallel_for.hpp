@@ -6,11 +6,12 @@
 // range in halves down to single chunks. Each leaf of `parallel_for_range`
 // is one chunk, a contiguous [lo, hi) that runs sequentially on one
 // thread, so the leaves depend only on the partitioner, n, the grain and
-// the pool size. The postmortem runner uses this to chain partial
-// initialization across consecutive windows inside a leaf (paper §4.3.1:
-// "if the same thread processes G_{i-1} and G_i, then partial
-// initialization occurs"), and `parallel_reduce` combines one partial per
-// leaf along the same split tree.
+// the pool size. The postmortem runner cuts its work list on the same
+// grid (`chunk_width`) to chain partial initialization across consecutive
+// windows inside a leaf (paper §4.3.1: "if the same thread processes
+// G_{i-1} and G_i, then partial initialization occurs"), and
+// `parallel_reduce` combines one partial per leaf along the same split
+// tree.
 #pragma once
 
 #include <algorithm>
@@ -38,15 +39,6 @@ namespace detail {
 
 inline ThreadPool& pool_of(const ForOptions& opts) {
   return opts.pool != nullptr ? *opts.pool : ThreadPool::global();
-}
-
-/// Items per leaf of a loop over n > 0 items: effective_grain(), or all n
-/// when the loop is one call on the caller (a one-thread pool).
-inline std::size_t chunk_width(const ForOptions& opts, std::size_t n) {
-  const std::size_t threads = pool_of(opts).num_threads();
-  if (threads == 1) return n;
-  return std::min(n,
-                  effective_grain(opts.partitioner, n, opts.grain, threads));
 }
 
 /// Recursive binary splitting of the chunk range [lo, hi): the left half
@@ -114,6 +106,15 @@ void reduce_leaf(ReduceSplit<T>* splits, std::size_t chunks, std::size_t c,
 
 }  // namespace detail
 
+/// Items per leaf of a loop over n > 0 items: effective_grain(), or all n
+/// when the loop is one call on the caller (a one-thread pool).
+inline std::size_t chunk_width(const ForOptions& opts, std::size_t n) {
+  const std::size_t threads = detail::pool_of(opts).num_threads();
+  if (threads == 1) return n;
+  return std::min(n,
+                  effective_grain(opts.partitioner, n, opts.grain, threads));
+}
+
 /// Runs `body(lo, hi)` once per chunk of [begin, end) (see the top of this
 /// file); the chunks are disjoint and cover the range. Blocks until all
 /// chunks complete and rethrows the first exception a chunk raised. Safe
@@ -122,7 +123,7 @@ template <typename Body>
 void parallel_for_range(std::size_t begin, std::size_t end,
                         const ForOptions& opts, Body&& body) {
   if (begin >= end) return;
-  const std::size_t width = detail::chunk_width(opts, end - begin);
+  const std::size_t width = chunk_width(opts, end - begin);
   if (width == end - begin) {
     // One chunk: no profitable parallelism. (A 1-thread pool would run
     // correctly through the task path; we just skip the overhead.)
@@ -171,7 +172,7 @@ template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t begin, std::size_t end, T identity,
                   const ForOptions& opts, Map&& map, Combine&& combine) {
   if (begin >= end) return identity;
-  const std::size_t width = detail::chunk_width(opts, end - begin);
+  const std::size_t width = chunk_width(opts, end - begin);
   const std::size_t chunks = (end - begin + width - 1) / width;
   if (chunks == 1) return combine(std::move(identity), map(begin, end));
   const auto splits = std::make_unique<detail::ReduceSplit<T>[]>(chunks - 1);

@@ -15,11 +15,7 @@
 //   pmpr::RunResult r = pmpr::run_postmortem(events, spec, sink, cfg);
 #pragma once
 
-#include "analysis/connected_components.hpp"  // IWYU pragma: export
-#include "analysis/katz.hpp"        // IWYU pragma: export
-#include "analysis/timeseries.hpp"  // IWYU pragma: export
 #include "exec/config.hpp"          // IWYU pragma: export
-#include "exec/export.hpp"          // IWYU pragma: export
 #include "exec/metrics.hpp"         // IWYU pragma: export
 #include "exec/offline_runner.hpp"  // IWYU pragma: export
 #include "exec/postmortem_runner.hpp"  // IWYU pragma: export

@@ -1,15 +1,18 @@
 // Storage-kind differential: in-RAM and out-of-core postmortem runs must
-// produce bit-identical per-window rank vectors on every execution model,
-// both under the harshest budget (one part at a time) and under a budget
-// that holds the whole store (every part compressed in RAM, no eviction).
-// Comparisons use exact double equality — the chunk-streaming compile
-// reproduces the raw compile's structures exactly, so the kernels execute
-// the same floating-point sequence.
+// produce bit-identical per-window rank vectors in every parallel mode,
+// with partial initialization on, both under the harshest budget (one
+// part at a time) and under a budget that holds the whole store (every
+// part compressed in RAM, no eviction). Comparisons use exact double
+// equality — the chunk-streaming compile reproduces the raw compile's
+// structures exactly, and both kinds cut the work list on one leaf grid,
+// so the kernels execute the same floating-point sequence.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "exec/postmortem_runner.hpp"
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 
@@ -37,12 +40,10 @@ PostmortemConfig base_config(KernelKind kernel, ParallelMode mode) {
   cfg.num_multi_windows = 4;
   cfg.vector_length = 8;
   cfg.validate = true;
-  // Partial init chains only inside a leaf chunk. The in-RAM driver splits
-  // the whole item list into chunks, the paged driver one part at a time,
-  // so their chunk layouts, and with them the chains, match only in
-  // kPagerank mode (one chain over every item); elsewhere the kinds agree
-  // exactly only with partial_init off.
-  cfg.partial_init = mode == ParallelMode::kPagerank;
+  // Partial init chains only inside a leaf. Both storage kinds cut the
+  // item list on the same leaf grid, the paged one clipped at part
+  // boundaries, where a chain restarts anyway.
+  cfg.partial_init = true;
   return cfg;
 }
 
@@ -54,10 +55,12 @@ void expect_same_series(const StoreAllSink& a, const StoreAllSink& b,
   }
 }
 
-void expect_storage_kinds_agree(KernelKind kernel, ParallelMode mode,
-                                const char* label) {
+/// Runs `cfg` in RAM and out of core, at budget 0 and at a budget that
+/// holds the whole store, and expects every window's ranks to match.
+/// Returns the whole-store run, made with counters on.
+RunResult expect_storage_kinds_agree(PostmortemConfig cfg,
+                                     const char* label) {
   const Scenario s = scenario();
-  PostmortemConfig cfg = base_config(kernel, mode);
 
   StoreAllSink in_ram(s.spec.count);
   cfg.storage = StorageKind::kInRam;
@@ -82,31 +85,62 @@ void expect_storage_kinds_agree(KernelKind kernel, ParallelMode mode,
   expect_same_series(resident, in_ram, label);
   EXPECT_EQ(whole.counters[obs::Counter::kPartsEvicted], 0u) << label;
   EXPECT_EQ(whole.counters[obs::Counter::kPartRefaults], 0u) << label;
+  return whole;
 }
 
 TEST(StorageDifferential, SpmmPagerankMode) {
-  expect_storage_kinds_agree(KernelKind::kSpmm, ParallelMode::kPagerank,
-                             "spmm/pagerank");
+  expect_storage_kinds_agree(
+      base_config(KernelKind::kSpmm, ParallelMode::kPagerank),
+      "spmm/pagerank");
 }
 
 TEST(StorageDifferential, SpmvPagerankMode) {
-  expect_storage_kinds_agree(KernelKind::kSpmv, ParallelMode::kPagerank,
-                             "spmv/pagerank");
+  expect_storage_kinds_agree(
+      base_config(KernelKind::kSpmv, ParallelMode::kPagerank),
+      "spmv/pagerank");
 }
 
 TEST(StorageDifferential, SpmmWindowMode) {
-  expect_storage_kinds_agree(KernelKind::kSpmm, ParallelMode::kWindow,
-                             "spmm/window");
+  expect_storage_kinds_agree(
+      base_config(KernelKind::kSpmm, ParallelMode::kWindow),
+      "spmm/window");
 }
 
 TEST(StorageDifferential, SpmvNestedMode) {
-  expect_storage_kinds_agree(KernelKind::kSpmv, ParallelMode::kNested,
-                             "spmv/nested");
+  expect_storage_kinds_agree(
+      base_config(KernelKind::kSpmv, ParallelMode::kNested),
+      "spmv/nested");
 }
 
 TEST(StorageDifferential, SpmmNestedMode) {
-  expect_storage_kinds_agree(KernelKind::kSpmm, ParallelMode::kNested,
-                             "spmm/nested");
+  expect_storage_kinds_agree(
+      base_config(KernelKind::kSpmm, ParallelMode::kNested),
+      "spmm/nested");
+}
+
+// Leaves that straddle parts: on a 3-thread pool, kSimple grain 4 cuts the
+// scenario's 21 windows over 4 parts (SpMV) or its 12 two-lane batches
+// (SpMM) into leaves of 4 items that the part sizes do not divide. The
+// paged run must cut the in-RAM run's leaves, clipped at part boundaries,
+// not cut each part again from its first item.
+TEST(StorageDifferential, LeavesStraddlingPartsMatchInWindowAndNestedMode) {
+  ASSERT_EQ(scenario().spec.count, 21u);
+  par::ThreadPool pool(3);
+  for (const ParallelMode mode :
+       {ParallelMode::kWindow, ParallelMode::kNested}) {
+    for (const KernelKind kernel : {KernelKind::kSpmv, KernelKind::kSpmm}) {
+      const std::string label = std::string(to_string(mode)) + "/" +
+                                std::string(to_string(kernel));
+      PostmortemConfig cfg = base_config(kernel, mode);
+      cfg.pool = &pool;
+      cfg.partitioner = par::Partitioner::kSimple;
+      cfg.grain = 4;
+      cfg.vector_length = 2;
+      const RunResult whole = expect_storage_kinds_agree(cfg, label.c_str());
+      // The chains ran: some window started from its predecessor's ranks.
+      EXPECT_GT(whole.counters[obs::Counter::kVerticesReused], 0u) << label;
+    }
+  }
 }
 
 TEST(StorageDifferential, TightBudgetEvictsAndStaysExact) {
