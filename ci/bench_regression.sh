@@ -46,8 +46,6 @@ required = {
     "micro.spmv_compiled": ["ns_per_iteration"],
     "micro.spmm16_compiled": ["ns_per_iteration"],
     "micro.spmm64_compiled": ["ns_per_iteration", "ns_per_lane"],
-    "micro.spmm128_compiled": ["ns_per_iteration", "ns_per_lane"],
-    "micro.spmm512_compiled": ["ns_per_iteration", "ns_per_lane"],
     "micro.decode_varint": ["ns_per_entry", "entries_per_second"],
     "io.compress_ratio": ["ratio", "bits_per_entry"],
     "io.oocore_paging": ["seconds", "resident_peak_bytes",

@@ -25,7 +25,7 @@ required = [
     "micro.spmv_compiled",
     "micro.spmm16_ref",
     "micro.spmm16_compiled",
-    "micro.spmm128_compiled",
+    "micro.spmm64_compiled",
 ]
 for name in required:
     assert name in data, f"missing record {name}"

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   Options opts("Run one execution model with telemetry enabled");
   opts.add("model", &model, "offline | streaming | postmortem");
   opts.add("max-lanes", &vector_length,
-           "postmortem SpMM lane width, 0..512 (0 = suggested config's "
+           "postmortem SpMM lane width, 0..64 (0 = suggested config's "
            "width)");
   opts.add("simd", &simd,
            "auto | scalar | avx2 | avx512 — ISA for the compiled SpMM "

@@ -46,9 +46,8 @@ struct ThreadState {
   // state processed in the current lease.
   std::vector<double> prev_x;
   std::vector<std::uint8_t> prev_active;      // SpMV
-  std::vector<std::uint64_t> prev_mask;       // SpMM, n * prev_words
+  std::vector<std::uint64_t> prev_mask;       // SpMM, one word per vertex
   std::size_t prev_lanes = 0;                 // SpMM
-  std::size_t prev_words = 1;                 // SpMM mask words
   std::size_t carry_part = SIZE_MAX;
   std::size_t carry_index = SIZE_MAX;
 };
@@ -86,22 +85,21 @@ std::size_t lanes_of_batch(const PartBatching& b, std::size_t num_windows,
   return (num_windows - j - 1) / b.region + 1;
 }
 
-/// Eq. 4 for one SpMM lane over lane-interleaved storage. Masks are
-/// multi-word: prev_mask is n * prev_words, cur_mask n * cur_words.
+/// Eq. 4 for one SpMM lane over lane-interleaved storage, with one mask
+/// word per vertex in prev_mask and cur_mask.
 void spmm_partial_init_lane(std::span<const double> prev_x,
-                            std::size_t prev_lanes, std::size_t prev_words,
-                            std::size_t kp,
+                            std::size_t prev_lanes, std::size_t kp,
                             std::span<const std::uint64_t> prev_mask,
                             std::span<double> cur_x, std::size_t cur_lanes,
-                            std::size_t cur_words, std::size_t k,
+                            std::size_t k,
                             std::span<const std::uint64_t> cur_mask,
                             std::size_t cur_num_active) {
-  const std::size_t n = cur_mask.size() / cur_words;
+  const std::size_t n = cur_mask.size();
   const auto prev_has = [&](std::size_t v) {
-    return mask_test(prev_mask.data() + v * prev_words, kp);
+    return mask_test(prev_mask[v], kp);
   };
   const auto cur_has = [&](std::size_t v) {
-    return mask_test(cur_mask.data() + v * cur_words, k);
+    return mask_test(cur_mask[v], k);
   };
   if (cur_num_active == 0) {
     for (std::size_t v = 0; v < n; ++v) cur_x[v * cur_lanes + k] = 0.0;
@@ -344,13 +342,11 @@ class PostmortemDriver {
                          st.prev_x.size() == n * st.prev_lanes;
     {
       PMPR_PHASE(obs::Phase::kInit, "batch.init", batch.first_window);
-      const std::size_t words = st.spmm_ws.mask_words;
       for (std::size_t k = 0; k < lanes; ++k) {
         if (partial) {
           // Lane k's window is the successor of the previous batch's lane k.
-          spmm_partial_init_lane(st.prev_x, st.prev_lanes, st.prev_words, k,
-                                 st.prev_mask, st.x, lanes, words, k,
-                                 st.spmm_ws.active_mask,
+          spmm_partial_init_lane(st.prev_x, st.prev_lanes, k, st.prev_mask,
+                                 st.x, lanes, k, st.spmm_ws.active_mask,
                                  st.spmm_ws.num_active[k]);
         } else {
           const double uniform =
@@ -359,7 +355,7 @@ class PostmortemDriver {
                   : 0.0;
           for (std::size_t v = 0; v < n; ++v) {
             st.x[v * lanes + k] =
-                mask_test(st.spmm_ws.mask_of(v), k) ? uniform : 0.0;
+                mask_test(st.spmm_ws.active_mask[v], k) ? uniform : 0.0;
           }
           obs::count(obs::Counter::kVerticesReseeded,
                      st.spmm_ws.num_active[k]);
@@ -395,7 +391,6 @@ class PostmortemDriver {
     st.prev_x.swap(st.x);
     st.prev_mask = st.spmm_ws.active_mask;  // copy; spmm_ws reused next item
     st.prev_lanes = lanes;
-    st.prev_words = st.spmm_ws.mask_words;
     st.carry_part = item.part;
     st.carry_index = j;
   }
@@ -486,8 +481,11 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
           : (config.pool != nullptr ? config.pool->num_threads()
                                     : par::ThreadPool::global().num_threads()) +
                 1;
+  // Count no more lanes than a batch can hold (batching_for's clamp).
   const std::size_t vlen =
-      config.kernel == KernelKind::kSpmm ? config.vector_length : 1;
+      config.kernel == KernelKind::kSpmm
+          ? std::clamp<std::size_t>(config.vector_length, 1, kMaxSpmmLanes)
+          : 1;
   const MemoryEstimate est = estimate_memory(set, vlen);
   result.representation_bytes = est.representation_bytes;
   finish_memory_accounting(mem_before, est.peak_bytes(kernel_contexts),

@@ -1,7 +1,5 @@
 #include "pagerank/batch_csr.hpp"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <numeric>
@@ -13,10 +11,8 @@ namespace pmpr {
 
 namespace {
 
-using RunMask = std::array<std::uint64_t, mask_words_for(kMaxSpmmLanes)>;
-
 /// Conservative chunk prune: the chunk's entry time extent misses
-/// [prune_lo, prune_hi] entirely, so every lanes_containing_into /
+/// [prune_lo, prune_hi] entirely, so every lanes_containing /
 /// window-membership test on its events would come back empty. Empty
 /// chunks (extent fields zeroed) prune trivially.
 bool chunk_pruned(const io::ChunkMeta& m, Timestamp prune_lo,
@@ -111,17 +107,17 @@ std::size_t counts_to_offsets(std::vector<std::size_t>& row_ptr) {
 /// the union of those events' lanes.
 template <typename Fn>
 void for_each_lane_run(const WindowSpec& spec, const SpmmBatch& batch,
-                       std::size_t words, std::span<const VertexId> cols,
+                       std::span<const VertexId> cols,
                        std::span<const Timestamp> times, Fn&& fn) {
   std::size_t i = 0;
   while (i < cols.size()) {
     const VertexId u = cols[i];
-    RunMask run_mask{};
+    std::uint64_t run_mask = 0;
     while (i < cols.size() && cols[i] == u) {
-      lanes_containing_into(spec, batch, times[i], run_mask.data());
+      run_mask |= lanes_containing(spec, batch, times[i]);
       ++i;
     }
-    if (mask_any(run_mask.data(), words)) fn(u, run_mask);
+    if (run_mask != 0) fn(u, run_mask);
   }
 }
 
@@ -134,13 +130,13 @@ void for_each_lane_run(const WindowSpec& spec, const SpmmBatch& batch,
 /// it):
 ///   * the returned entry count — consumed only by the thread sweeping
 ///     row v, in both paths. Never atomic.
-///   * state.out_degree[u * lanes + k] and state.active_mask[u ...] —
+///   * state.out_degree[u * lanes + k] and state.active_mask[u] —
 ///     cross-row scatter targets: row v bumps arbitrary u's slots. The
 ///     parallel path (Atomic = true) must use std::atomic_ref for *every*
 ///     one of these; the serial path (Atomic = false) owns the whole array
 ///     on one thread and uses plain increments — the two `if constexpr`
 ///     arms below are the same write routed per path, not a mixed mode.
-///   * state.active_mask[v ...] (the row's own activity) is also a shared
+///   * state.active_mask[v] (the row's own activity) is also a shared
 ///     slot: other rows scatter into v as a neighbor, so the parallel path
 ///     ORs it atomically too.
 template <bool Atomic>
@@ -149,13 +145,12 @@ std::size_t scatter_row(const WindowSpec& spec, const SpmmBatch& batch,
                         std::span<const VertexId> cols,
                         std::span<const Timestamp> times) {
   const std::size_t lanes = batch.lanes;
-  const std::size_t words = state.mask_words;
-  RunMask v_mask{};
+  std::uint64_t v_mask = 0;
   std::size_t entries = 0;
-  for_each_lane_run(spec, batch, words, cols, times,
-                    [&](VertexId u, const RunMask& run_mask) {
+  for_each_lane_run(spec, batch, cols, times,
+                    [&](VertexId u, std::uint64_t run_mask) {
     ++entries;
-    for_each_set_lane(run_mask.data(), words, [&](std::size_t k) {
+    for_each_set_lane(run_mask, [&](std::size_t k) {
       if constexpr (Atomic) {
         std::atomic_ref<std::uint32_t> deg(state.out_degree[u * lanes + k]);
         // relaxed: pure commutative count; published by the join.
@@ -164,26 +159,22 @@ std::size_t scatter_row(const WindowSpec& spec, const SpmmBatch& batch,
         ++state.out_degree[u * lanes + k];
       }
     });
-    for (std::size_t w = 0; w < words; ++w) {
-      v_mask[w] |= run_mask[w];
-      if (run_mask[w] == 0) continue;
-      if constexpr (Atomic) {
-        std::atomic_ref<std::uint64_t> am(state.active_mask[u * words + w]);
-        // relaxed: commutative bit-set; published by the join.
-        am.fetch_or(run_mask[w], std::memory_order_relaxed);
-      } else {
-        state.active_mask[u * words + w] |= run_mask[w];
-      }
+    v_mask |= run_mask;
+    if constexpr (Atomic) {
+      std::atomic_ref<std::uint64_t> am(state.active_mask[u]);
+      // relaxed: commutative bit-set; published by the join.
+      am.fetch_or(run_mask, std::memory_order_relaxed);
+    } else {
+      state.active_mask[u] |= run_mask;
     }
   });
-  for (std::size_t w = 0; w < words; ++w) {
-    if (v_mask[w] == 0) continue;
+  if (v_mask != 0) {
     if constexpr (Atomic) {
-      std::atomic_ref<std::uint64_t> am(state.active_mask[v * words + w]);
+      std::atomic_ref<std::uint64_t> am(state.active_mask[v]);
       // relaxed: commutative bit-set; published by the join.
-      am.fetch_or(v_mask[w], std::memory_order_relaxed);
+      am.fetch_or(v_mask, std::memory_order_relaxed);
     } else {
-      state.active_mask[v * words + w] |= v_mask[w];
+      state.active_mask[v] |= v_mask;
     }
   }
   return entries;
@@ -228,15 +219,14 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
                         CompiledBatchCsr& out, const par::ForOptions* parallel,
                         io::DecodeScratch* scratch) {
   // Release-mode check (was a debug assert): with -DNDEBUG an oversized
-  // batch would silently shift lane bits out of the mask words — UB plus a
-  // corrupt compiled form.
+  // batch would shift lane bits past the mask word — UB plus a corrupt
+  // compiled form.
   PMPR_CHECK_MSG(batch.lanes >= 1 && batch.lanes <= kMaxSpmmLanes,
                  "SpMM batch lanes " << batch.lanes << " outside [1, "
                                      << kMaxSpmmLanes << "]");
   const std::size_t n = part.num_local();
   state.resize(n, batch.lanes);
   out.lanes = batch.lanes;
-  out.mask_words = state.mask_words;
   out.row_ptr.assign(n + 1, 0);
   out.active_rows.clear();
   out.dangling_rows.clear();
@@ -246,7 +236,6 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
   // spec, so coverage is [start(first lane), end(last lane)].
   const Timestamp lo = spec.start(batch.first_window);
   const Timestamp hi = spec.end(batch.window_of_lane(batch.lanes - 1));
-  const std::size_t words = out.mask_words;
   for_each_row(part, lo, hi, parallel, scratch,
                [&](std::size_t v, auto cols, auto times) {
                  out.row_ptr[v + 1] =
@@ -257,17 +246,16 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
                });
   const std::size_t total = counts_to_offsets(out.row_ptr);
   out.nbr.resize(total);
-  out.mask.resize(total * words);
+  out.mask.resize(total);
   // Pass B re-runs the row-local run scan and fills nbr/mask at the
   // prefix-summed offsets: no cross-row writes, so no atomics.
   for_each_row(part, lo, hi, parallel, scratch,
                [&](std::size_t v, auto cols, auto times) {
                  std::size_t at = out.row_ptr[v];
-                 for_each_lane_run(spec, batch, words, cols, times,
-                                   [&](VertexId u, const RunMask& run_mask) {
+                 for_each_lane_run(spec, batch, cols, times,
+                                   [&](VertexId u, std::uint64_t run_mask) {
                                      out.nbr[at] = u;
-                                     std::copy_n(run_mask.data(), words,
-                                                 out.mask.data() + at * words);
+                                     out.mask[at] = run_mask;
                                      ++at;
                                    });
                  assert(at == out.row_ptr[v + 1]);
@@ -276,22 +264,17 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
   // Compaction lists + per-lane population (needs the complete degrees).
   const std::size_t lanes = batch.lanes;
   for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t* m = state.mask_of(v);
-    if (!mask_any(m, words)) continue;
+    const std::uint64_t m = state.active_mask[v];
+    if (m == 0) continue;
     out.active_rows.push_back(static_cast<VertexId>(v));
-    RunMask dangling{};
-    bool any_dangling = false;
-    for_each_set_lane(m, words, [&](std::size_t k) {
+    std::uint64_t dangling = 0;
+    for_each_set_lane(m, [&](std::size_t k) {
       ++state.num_active[k];
-      if (state.out_degree[v * lanes + k] == 0) {
-        mask_set(dangling.data(), k);
-        any_dangling = true;
-      }
+      if (state.out_degree[v * lanes + k] == 0) dangling |= lane_bit(k);
     });
-    if (any_dangling) {
+    if (dangling != 0) {
       out.dangling_rows.push_back(static_cast<VertexId>(v));
-      out.dangling_mask.insert(out.dangling_mask.end(), dangling.begin(),
-                               dangling.begin() + words);
+      out.dangling_mask.push_back(dangling);
     }
   }
   out.charge.reset(obs::MemTag::kCompiledKernel, out.memory_bytes());

@@ -2,7 +2,7 @@
 // SpMM batch (or a single window) compiled into the representation once.
 //
 // The reference kernels (kept as a test oracle under tests/oracle/)
-// re-derive each event's lane membership (lanes_containing_into ->
+// re-derive each event's lane membership (lanes_containing ->
 // WindowSpec::windows_containing) and re-scan duplicate <neighbor, time>
 // runs on every edge of every power iteration, and sweep all n rows even
 // when the batch touches a fraction of them.
@@ -10,15 +10,15 @@
 // so it is hoisted into a one-time per-batch build:
 //
 //   * run compression: per row, only the *distinct* in-neighbors, each
-//     with a precomputed multi-word lane mask (runs whose mask is all-zero
-//     are dropped entirely), in a flat SoA layout (nbr[] / mask[]);
+//     with a precomputed lane mask (runs whose mask is zero are dropped
+//     entirely), in a flat SoA layout (nbr[] / mask[]);
 //   * active-row compaction: sweeps iterate active_rows — rows active in
 //     at least one lane — instead of all n rows;
 //   * dangling compaction: the per-iteration dangling-mass scan reads the
 //     dangling_rows / dangling_mask lists (vertices dangling in at least
 //     one lane) instead of rescanning the n-by-lanes degree matrix.
 //
-// The SpMM inner loop then becomes: load u, load mask words, AND the live
+// The SpMM inner loop then becomes: load u, load its mask, AND the live
 // mask, fused multiply-add per set bit — no timestamp arithmetic. The
 // compiled kernels (scalar and the AVX2/AVX-512 sweeps of
 // simd_sweep_*.cpp) execute the exact floating-point operations of the
@@ -42,18 +42,13 @@ namespace pmpr {
 /// Compiled form of one SpMM batch over a part's local vertex space.
 struct CompiledBatchCsr {
   std::size_t lanes = 0;
-  /// Words per lane mask: mask_words_for(lanes) ∈ {1, 2, 4, 8}. Every mask
-  /// in this struct (entry masks, dangling masks) is this many words.
-  std::size_t mask_words = 1;
 
-  /// n + 1 offsets into nbr (and, scaled by mask_words, into mask). A row
-  /// holds the distinct in-neighbors (ascending, inherited from the
-  /// temporal CSR's row order) whose run intersects at least one lane's
-  /// window.
+  /// n + 1 offsets into nbr and mask. A row holds the distinct
+  /// in-neighbors (ascending, inherited from the temporal CSR's row order)
+  /// whose run intersects at least one lane's window.
   std::vector<std::size_t> row_ptr;
   std::vector<VertexId> nbr;
-  /// mask_words words per nbr entry (entry i owns
-  /// mask[i*mask_words .. (i+1)*mask_words)); never all-zero.
+  /// One lane mask per nbr entry; never zero.
   std::vector<std::uint64_t> mask;
 
   /// Rows v active in at least one lane, ascending. Sweeps visit only
@@ -61,8 +56,7 @@ struct CompiledBatchCsr {
   std::vector<VertexId> active_rows;
 
   /// Rows dangling (active with out-degree 0) in at least one lane,
-  /// ascending, with the multi-word mask of those lanes (mask_words words
-  /// per row).
+  /// ascending, with the mask of those lanes.
   std::vector<VertexId> dangling_rows;
   std::vector<std::uint64_t> dangling_mask;
 
@@ -72,15 +66,8 @@ struct CompiledBatchCsr {
   [[nodiscard]] std::span<const VertexId> row_nbr(VertexId v) const {
     return {nbr.data() + row_ptr[v], nbr.data() + row_ptr[v + 1]};
   }
-  /// All mask words of row v: (row_ptr[v+1] - row_ptr[v]) * mask_words
-  /// values, mask_words per entry.
   [[nodiscard]] std::span<const std::uint64_t> row_mask(VertexId v) const {
-    return {mask.data() + row_ptr[v] * mask_words,
-            mask.data() + row_ptr[v + 1] * mask_words};
-  }
-  /// Mask words of global entry i (an index into nbr).
-  [[nodiscard]] const std::uint64_t* entry_mask(std::size_t i) const {
-    return mask.data() + i * mask_words;
+    return {mask.data() + row_ptr[v], mask.data() + row_ptr[v + 1]};
   }
 
   /// Bytes held by the compiled form (reported through memory_budget so

@@ -4,22 +4,19 @@
 
 namespace pmpr {
 
-SpmmSweepFn select_spmm_sweep(std::size_t mask_words, SimdIsa isa) {
-  PMPR_CHECK_MSG(mask_words == 1 || mask_words == 2 || mask_words == 4 ||
-                     mask_words == 8,
-                 "mask_words " << mask_words << " not in {1, 2, 4, 8}");
+SpmmSweep* select_spmm_sweep(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
-      return detail::spmm_sweep_scalar(mask_words);
+      return detail::spmm_sweep_scalar;
     case SimdIsa::kAvx2:
 #if defined(PMPR_HAVE_AVX2_SWEEP)
-      return detail::spmm_sweep_avx2(mask_words);
+      return detail::spmm_sweep_avx2;
 #else
       break;
 #endif
     case SimdIsa::kAvx512:
 #if defined(PMPR_HAVE_AVX512_SWEEP)
-      return detail::spmm_sweep_avx512(mask_words);
+      return detail::spmm_sweep_avx512;
 #else
       break;
 #endif

@@ -1,4 +1,4 @@
-// AVX-512 SpMM sweep: 8 lanes per vector op; each mask-word byte is used
+// AVX-512 SpMM sweep: 8 lanes per vector op; each mask byte is used
 // directly as an __mmask8, so lane-group selection is free. Compiled with
 // the -mavx512* flags (see src/CMakeLists.txt) and only invoked after
 // runtime dispatch confirmed CPU support (simd_dispatch.cpp).
@@ -17,7 +17,6 @@
 
 #include "pagerank/simd_sweep.hpp"
 #include "util/bits.hpp"
-#include "util/check.hpp"
 
 namespace pmpr::detail {
 
@@ -26,19 +25,20 @@ namespace {
 constexpr std::size_t kPrefetchEntries = 8;  // matches the scalar kernel
 constexpr std::size_t kRowTile = 64;
 
-template <std::size_t W>
-std::uint64_t sweep_avx512(const CompiledBatchCsr& compiled,
-                           const SpmmWindowState& state, const double* x,
-                           double* x_next, const double* base,
-                           double one_minus_alpha,
-                           const std::uint64_t* live_mask, double* diff,
-                           std::size_t lo, std::size_t hi) {
+}  // namespace
+
+std::uint64_t spmm_sweep_avx512(const CompiledBatchCsr& compiled,
+                                const SpmmWindowState& state, const double* x,
+                                double* x_next, const double* base,
+                                double one_minus_alpha,
+                                std::uint64_t live_mask, double* diff,
+                                std::size_t lo, std::size_t hi) {
   const std::size_t lanes = compiled.lanes;
   const std::uint32_t* deg = state.out_degree.data();
   const VertexId* nbr = compiled.nbr.data();
   const std::uint64_t* masks = compiled.mask.data();
   const __m512d omav = _mm512_set1_pd(one_minus_alpha);
-  alignas(64) double acc[W * kLanesPerMaskWord];
+  alignas(64) double acc[kMaxSpmmLanes];
   std::uint64_t edges = 0;
   for (std::size_t tile = lo; tile < hi; tile += kRowTile) {
     const std::size_t tile_hi = std::min(hi, tile + kRowTile);
@@ -48,16 +48,11 @@ std::uint64_t sweep_avx512(const CompiledBatchCsr& compiled,
     }
     for (std::size_t r = tile; r < tile_hi; ++r) {
       const VertexId v = compiled.active_rows[r];
-      const std::uint64_t* v_active = state.mask_of(v);
-      std::uint64_t v_update[W];
-      std::uint64_t any = 0;
-      for (std::size_t w = 0; w < W; ++w) {
-        v_update[w] = v_active[w] & live_mask[w];
-        any |= v_update[w];
-      }
+      const std::uint64_t v_active = state.active_mask[v];
+      const std::uint64_t v_update = v_active & live_mask;
       for (std::size_t k = 0; k < lanes; ++k) acc[k] = base[k];
 
-      if (any != 0) {
+      if (v_update != 0) {
         const std::size_t e_lo = compiled.row_ptr[v];
         const std::size_t e_hi = compiled.row_ptr[v + 1];
         edges += e_hi - e_lo;
@@ -70,38 +65,33 @@ std::uint64_t sweep_avx512(const CompiledBatchCsr& compiled,
           const std::size_t u = nbr[i];
           const double* xu = x + u * lanes;
           const std::uint32_t* du = deg + u * lanes;
-          for (std::size_t w = 0; w < W; ++w) {
-            std::uint64_t m = masks[i * W + w] & v_update[w];
-            while (m != 0) {
-              const std::size_t g = ctz64(m) >> 3;  // 8-lane group
-              const __mmask8 bits = static_cast<__mmask8>(m >> (g * 8));
-              m &= ~(std::uint64_t{0xFF} << (g * 8));
-              const std::size_t base_lane = w * kLanesPerMaskWord + g * 8;
-              // maskz loads are fault-suppressing per element, so group
-              // tails past `lanes` never touch memory (their bits are 0).
-              const __m512d xv = _mm512_maskz_loadu_pd(bits, xu + base_lane);
-              const __m256i dv32 =
-                  _mm256_maskz_loadu_epi32(bits, du + base_lane);
-              // maskz (not the unmasked cvt): inactive-lane degrees become
-              // 0.0 instead of GCC's _mm512_undefined_pd() merge source,
-              // which -Wmaybe-uninitialized rejects in sanitizer builds.
-              // The fmadd's write mask discards those lanes either way.
-              const __m512d dv = _mm512_maskz_cvtepu32_pd(bits, dv32);
-              __m512d accv = _mm512_loadu_pd(acc + base_lane);
-              accv = _mm512_mask3_fmadd_pd(omav, _mm512_div_pd(xv, dv), accv,
-                                           bits);
-              _mm512_storeu_pd(acc + base_lane, accv);
-            }
+          std::uint64_t m = masks[i] & v_update;
+          while (m != 0) {
+            const std::size_t g = ctz64(m) >> 3;  // 8-lane group
+            const __mmask8 bits = static_cast<__mmask8>(m >> (g * 8));
+            m &= ~(std::uint64_t{0xFF} << (g * 8));
+            const std::size_t base_lane = g * 8;
+            // maskz loads are fault-suppressing per element, so group
+            // tails past `lanes` never touch memory (their bits are 0).
+            const __m512d xv = _mm512_maskz_loadu_pd(bits, xu + base_lane);
+            const __m256i dv32 =
+                _mm256_maskz_loadu_epi32(bits, du + base_lane);
+            // maskz (not the unmasked cvt): inactive-lane degrees become
+            // 0.0 instead of GCC's _mm512_undefined_pd() merge source,
+            // which -Wmaybe-uninitialized rejects in sanitizer builds.
+            // The fmadd's write mask discards those lanes either way.
+            const __m512d dv = _mm512_maskz_cvtepu32_pd(bits, dv32);
+            __m512d accv = _mm512_loadu_pd(acc + base_lane);
+            accv = _mm512_mask3_fmadd_pd(omav, _mm512_div_pd(xv, dv), accv,
+                                         bits);
+            _mm512_storeu_pd(acc + base_lane, accv);
           }
         }
       }
 
       for (std::size_t k0 = 0; k0 < lanes; k0 += 8) {
-        const std::size_t w = k0 / kLanesPerMaskWord;
-        const unsigned shift =
-            static_cast<unsigned>(k0 % kLanesPerMaskWord);
-        const __mmask8 a8 = static_cast<__mmask8>(v_active[w] >> shift);
-        const __mmask8 l8 = static_cast<__mmask8>(live_mask[w] >> shift);
+        const __mmask8 a8 = static_cast<__mmask8>(v_active >> k0);
+        const __mmask8 l8 = static_cast<__mmask8>(live_mask >> k0);
         const __mmask8 al8 = a8 & l8;
         const std::size_t rem = lanes - k0;
         const __mmask8 valid8 =
@@ -124,25 +114,6 @@ std::uint64_t sweep_avx512(const CompiledBatchCsr& compiled,
     }
   }
   return edges;
-}
-
-}  // namespace
-
-SpmmSweepFn spmm_sweep_avx512(std::size_t mask_words) {
-  switch (mask_words) {
-    case 1:
-      return sweep_avx512<1>;
-    case 2:
-      return sweep_avx512<2>;
-    case 4:
-      return sweep_avx512<4>;
-    case 8:
-      return sweep_avx512<8>;
-    default:
-      PMPR_CHECK_MSG(false, "mask_words " << mask_words
-                                          << " not in {1, 2, 4, 8}");
-      return nullptr;  // unreachable
-  }
 }
 
 }  // namespace pmpr::detail

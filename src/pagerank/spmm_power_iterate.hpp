@@ -5,7 +5,6 @@
 // supplies only its dangling scan and its sweep.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -21,9 +20,6 @@
 
 namespace pmpr {
 
-/// Stack-sized multi-word mask; only the first mask_words are used.
-using LiveMask = std::array<std::uint64_t, mask_words_for(kMaxSpmmLanes)>;
-
 /// Per-lane double accumulators, sized `lanes` at runtime.
 using LaneVec = std::vector<double>;
 
@@ -35,8 +31,9 @@ inline LaneVec add_lanes(LaneVec a, const LaneVec& b) {
 /// Runs the power iterations of one SpMM batch: `DanglingFn(cur,
 /// live_mask)` returns the per-lane dangling mass, `SweepFn(cur, next,
 /// base, live_mask, diff)` runs one full sweep (serial or parallel).
+/// `live_mask` is the std::uint64_t mask of the lanes still iterating.
 template <typename DanglingFn, typename SweepFn>
-SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
+SpmmStats power_iterate(std::size_t n, std::size_t lanes,
                         std::span<const std::size_t> num_active,
                         std::span<double> x, std::span<double> scratch,
                         const PagerankParams& params, DanglingFn&& dangling_of,
@@ -44,10 +41,10 @@ SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
   SpmmStats stats;
   stats.lane_stats.assign(lanes, PagerankStats{});
 
-  LiveMask live{};
+  std::uint64_t live = 0;
   for (std::size_t k = 0; k < lanes; ++k) {
     if (num_active[k] > 0) {
-      mask_set(live.data(), k);
+      live |= lane_bit(k);
     } else {
       // Empty window: zero the lane and mark it converged immediately.
       for (std::size_t v = 0; v < n; ++v) x[v * lanes + k] = 0.0;
@@ -58,11 +55,10 @@ SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
   double* cur = x.data();
   double* next = scratch.data();
 
-  for (int iter = 0;
-       iter < params.max_iters && mask_any(live.data(), words); ++iter) {
+  for (int iter = 0; iter < params.max_iters && live != 0; ++iter) {
     LaneVec base(lanes, 0.0);
     const LaneVec dangling = params.redistribute_dangling
-                                 ? dangling_of(cur, live.data())
+                                 ? dangling_of(cur, live)
                                  : LaneVec(lanes, 0.0);
     for (std::size_t k = 0; k < lanes; ++k) {
       base[k] = num_active[k] > 0
@@ -73,19 +69,19 @@ SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
 
     LaneVec diff(lanes, 0.0);
     sweep(std::span<const double>(cur, n * lanes),
-          std::span<double>(next, n * lanes), base, live.data(), diff);
+          std::span<double>(next, n * lanes), base, live, diff);
 
     std::swap(cur, next);
     stats.iterations = iter + 1;
     const bool record_residuals = obs::metrics_enabled();
     std::uint64_t converged_this_iter = 0;
     for (std::size_t k = 0; k < lanes; ++k) {
-      if (!mask_test(live.data(), k)) continue;
+      if (!mask_test(live, k)) continue;
       stats.lane_stats[k].iterations = iter + 1;
       stats.lane_stats[k].final_residual = diff[k];
       if (record_residuals) stats.lane_stats[k].residuals.push_back(diff[k]);
       if (diff[k] < params.tol) {
-        mask_clear(live.data(), k);
+        live &= ~lane_bit(k);
         ++converged_this_iter;
       }
     }

@@ -16,20 +16,15 @@ namespace {
 /// nothing). Reads dangling-list indices [lo, hi).
 LaneVec dangling_scan_compiled(const CompiledBatchCsr& compiled,
                                const double* cur, std::size_t lanes,
-                               const std::uint64_t* live_mask, std::size_t lo,
+                               std::uint64_t live_mask, std::size_t lo,
                                std::size_t hi) {
   LaneVec dangling(lanes, 0.0);
-  const std::size_t words = compiled.mask_words;
   for (std::size_t i = lo; i < hi; ++i) {
     const VertexId v = compiled.dangling_rows[i];
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t m = compiled.dangling_mask[i * words + w] & live_mask[w];
-      while (m != 0) {
-        const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-        m &= m - 1;
-        dangling[k] += cur[v * lanes + k];
-      }
-    }
+    for_each_set_lane(compiled.dangling_mask[i] & live_mask,
+                      [&](std::size_t k) {
+                        dangling[k] += cur[v * lanes + k];
+                      });
   }
   obs::count(obs::Counter::kDanglingScanned, hi - lo);
   return dangling;
@@ -49,11 +44,9 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
                                      << kMaxSpmmLanes << "]");
   assert(x.size() == n * lanes && scratch.size() == n * lanes);
   assert(state.lanes == lanes);
-  assert(state.mask_words == compiled.mask_words);
-  const std::size_t words = compiled.mask_words;
 
   const SimdIsa isa = resolve_simd(simd);
-  const SpmmSweepFn sweep_fn = select_spmm_sweep(words, isa);
+  SpmmSweep* const sweep_fn = select_spmm_sweep(isa);
   const obs::Counter isa_counter =
       isa == SimdIsa::kAvx512  ? obs::Counter::kSimdSweepAvx512
       : isa == SimdIsa::kAvx2 ? obs::Counter::kSimdSweepAvx2
@@ -78,7 +71,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   const double one_minus_alpha = 1.0 - params.alpha;
   const std::size_t rows = compiled.active_rows.size();
   const std::size_t dangling_rows = compiled.dangling_rows.size();
-  auto dangling_of = [&](const double* cur, const std::uint64_t* live_mask) {
+  auto dangling_of = [&](const double* cur, std::uint64_t live_mask) {
     if (parallel != nullptr) {
       return par::parallel_reduce(
           0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
@@ -92,7 +85,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
                                   dangling_rows);
   };
   auto sweep = [&](std::span<const double> cur, std::span<double> next,
-                   const LaneVec& base, const std::uint64_t* live_mask,
+                   const LaneVec& base, std::uint64_t live_mask,
                    LaneVec& diff) {
     obs::count(isa_counter);
     if (parallel != nullptr) {
@@ -115,7 +108,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
       obs::count(obs::Counter::kEdgesTraversed, edges);
     }
   };
-  return power_iterate(n, lanes, words, state.num_active, x, scratch, params,
+  return power_iterate(n, lanes, state.num_active, x, scratch, params,
                        dangling_of, sweep);
 }
 

@@ -1,6 +1,6 @@
 // SpMM-inspired postmortem PageRank kernel (paper §4.4).
 //
-// Computes PageRank for up to kMaxSpmmLanes (512) windows ("lanes") of the
+// Computes PageRank for up to kMaxSpmmLanes (64) windows ("lanes") of the
 // same multi-window graph simultaneously: each power iteration traverses
 // the batch's compiled adjacency once and advances every live lane's
 // vector. The PageRank vectors are lane-interleaved (x[v*lanes + k]),

@@ -34,10 +34,10 @@ void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
                           Timestamp te, WindowState& out,
                           const par::ForOptions* parallel = nullptr);
 
-/// Widest SpMM batch the kernels support: 8 mask words of 64 lanes. The
-/// sweep kernels are instantiated for {1, 2, 4, 8} words (see
-/// util/bits.hpp's mask_words_for).
-inline constexpr std::size_t kMaxSpmmLanes = 512;
+/// Widest SpMM batch the kernels support: a lane mask is one
+/// std::uint64_t (util/bits.hpp). The vector-length ablation's 64 lanes
+/// are the widest batch any experiment runs (DESIGN.md §5.2).
+inline constexpr std::size_t kMaxSpmmLanes = 64;
 
 /// State of an SpMM batch: `lanes` windows processed simultaneously.
 /// Lane k corresponds to global window `first_window + k * window_stride`
@@ -52,48 +52,33 @@ struct SpmmBatch {
   }
 };
 
-/// Lane-interleaved degrees (deg[v*lanes + k]) plus per-vertex activity
-/// bitmasks. Masks are multi-word: mask_words consecutive uint64_t values
-/// per vertex (mask_words_for(lanes) ∈ {1, 2, 4, 8}), bit k of word w
-/// naming lane w*64 + k. For lanes <= 64 this degenerates to the original
-/// one-word-per-vertex layout (active_mask[v] is that word).
+/// Lane-interleaved degrees (deg[v*lanes + k]) plus one activity mask word
+/// per vertex, bit k naming lane k.
 struct SpmmWindowState {
   std::size_t lanes = 0;
-  std::size_t mask_words = 1;
   std::vector<std::uint32_t> out_degree;   ///< n * lanes, lane-interleaved.
-  std::vector<std::uint64_t> active_mask;  ///< n * mask_words.
+  std::vector<std::uint64_t> active_mask;  ///< n, one word per vertex.
   std::vector<std::size_t> num_active;     ///< per lane.
 
+  /// v's mask word, by pointer: perfbench/round.cpp reads it as
+  /// `mask_of(v)[k / 64]`.
   [[nodiscard]] const std::uint64_t* mask_of(std::size_t v) const {
-    return active_mask.data() + v * mask_words;
+    return active_mask.data() + v;
   }
 
   void resize(std::size_t n, std::size_t num_lanes) {
     lanes = num_lanes;
-    mask_words = mask_words_for(num_lanes);
     out_degree.assign(n * num_lanes, 0);
-    active_mask.assign(n * mask_words, 0);
+    active_mask.assign(n, 0);
     num_active.assign(num_lanes, 0);
   }
 };
 
-/// Inclusive range of lanes whose window contains a timestamp. Because
-/// lanes are strided windows of one spec, the lanes containing any t form
-/// one contiguous run — the structural fact that keeps multi-word mask
-/// construction O(words) per run instead of O(lanes).
-struct LaneSpan {
-  std::size_t lo = 1;
-  std::size_t hi = 0;
-  [[nodiscard]] bool empty() const { return lo > hi; }
-};
-
-/// Lanes of `batch` whose window contains timestamp `t`.
-LaneSpan lane_span_containing(const WindowSpec& spec, const SpmmBatch& batch,
-                              Timestamp t);
-
-/// ORs the lanes containing `t` into the multi-word mask `words`
-/// (mask_words_for(batch.lanes) words). Any lane count up to kMaxSpmmLanes.
-void lanes_containing_into(const WindowSpec& spec, const SpmmBatch& batch,
-                           Timestamp t, std::uint64_t* words);
+/// Mask of the lanes of `batch` whose window contains timestamp `t`.
+/// Lanes are strided windows of one spec, so they form one contiguous run.
+/// Precondition: batch.lanes <= kMaxSpmmLanes.
+[[nodiscard]] std::uint64_t lanes_containing(const WindowSpec& spec,
+                                             const SpmmBatch& batch,
+                                             Timestamp t);
 
 }  // namespace pmpr

@@ -1,16 +1,9 @@
-// Bit-manipulation helpers shared by the lane-mask layers.
+// Bit-manipulation helpers for the SpMM lane masks.
 //
-// Lane indices are std::size_t everywhere: a multi-word lane index is
-// word * 64 + bit and may exceed 64, so the ctz result must never pass
-// through a narrower type on its way into lane arithmetic. ctz64 is the
-// single sanctioned spot that converts a mask word into a lane offset.
-//
-// A "lane mask" is `words` consecutive std::uint64_t values, bit k of
-// word w naming lane w * 64 + k. Storage is always padded to the compiled
-// kernels' template instantiation set {1, 2, 4, 8} words (64 / 128 / 256 /
-// 512 lanes) so a runtime word count can be dispatched to a compile-time
-// one without a remainder path; bits at or above the lane count are zero
-// by construction.
+// A lane mask is one std::uint64_t: bit k names lane k of a batch of at
+// most 64 lanes (kMaxSpmmLanes, pagerank/window_state.hpp). Lane indices
+// are std::size_t everywhere, and ctz64 is the single sanctioned spot that
+// converts a mask into a lane index.
 #pragma once
 
 #include <bit>
@@ -21,78 +14,33 @@ namespace pmpr {
 
 /// Index of the lowest set bit of `x` as std::size_t. Precondition: the
 /// callers' loops guarantee x != 0 (countr_zero(0) would return 64, which
-/// is never a valid in-word bit index).
+/// is never a valid lane).
 [[nodiscard]] constexpr std::size_t ctz64(std::uint64_t x) {
   return static_cast<std::size_t>(std::countr_zero(x));
 }
 
-inline constexpr std::size_t kLanesPerMaskWord = 64;
-
-/// Words backing a `lanes`-wide mask, rounded up to {1, 2, 4, 8} — the set
-/// the compiled kernels are instantiated for. lanes = 0 maps to 1 word.
-[[nodiscard]] constexpr std::size_t mask_words_for(std::size_t lanes) {
-  const std::size_t raw =
-      (lanes + kLanesPerMaskWord - 1) / kLanesPerMaskWord;
-  return std::bit_ceil(raw == 0 ? std::size_t{1} : raw);
+/// The mask of lane `lane` alone. Precondition: lane < 64.
+[[nodiscard]] constexpr std::uint64_t lane_bit(std::size_t lane) {
+  return std::uint64_t{1} << lane;
 }
 
-[[nodiscard]] constexpr bool mask_test(const std::uint64_t* words,
-                                       std::size_t lane) {
-  return (words[lane / kLanesPerMaskWord] >>
-              (lane % kLanesPerMaskWord) & 1) != 0;
+[[nodiscard]] constexpr bool mask_test(std::uint64_t mask, std::size_t lane) {
+  return (mask & lane_bit(lane)) != 0;
 }
 
-constexpr void mask_set(std::uint64_t* words, std::size_t lane) {
-  words[lane / kLanesPerMaskWord] |= std::uint64_t{1}
-                                     << (lane % kLanesPerMaskWord);
+/// The mask of the inclusive lane range [lo, hi]. Precondition:
+/// lo <= hi < 64. A full-width range yields ~0 without shifting by 64.
+[[nodiscard]] constexpr std::uint64_t lane_range_mask(std::size_t lo,
+                                                      std::size_t hi) {
+  return (~std::uint64_t{0} >> (63 - (hi - lo))) << lo;
 }
 
-constexpr void mask_clear(std::uint64_t* words, std::size_t lane) {
-  words[lane / kLanesPerMaskWord] &= ~(std::uint64_t{1}
-                                       << (lane % kLanesPerMaskWord));
-}
-
-/// Whether any of the `num_words` words has a bit set.
-[[nodiscard]] constexpr bool mask_any(const std::uint64_t* words,
-                                      std::size_t num_words) {
-  std::uint64_t acc = 0;
-  for (std::size_t w = 0; w < num_words; ++w) acc |= words[w];
-  return acc != 0;
-}
-
-/// Sets every bit in the inclusive lane range [lo, hi]. The caller
-/// guarantees the range fits the mask's words.
-constexpr void mask_set_range(std::uint64_t* words, std::size_t lo,
-                              std::size_t hi) {
-  const std::size_t w_lo = lo / kLanesPerMaskWord;
-  const std::size_t w_hi = hi / kLanesPerMaskWord;
-  const std::size_t b_lo = lo % kLanesPerMaskWord;
-  const std::size_t b_hi = hi % kLanesPerMaskWord;
-  if (w_lo == w_hi) {
-    const std::uint64_t run = b_hi - b_lo + 1 >= kLanesPerMaskWord
-                                  ? ~std::uint64_t{0}
-                                  : ((std::uint64_t{1} << (b_hi - b_lo + 1)) -
-                                     1);
-    words[w_lo] |= run << b_lo;
-    return;
-  }
-  words[w_lo] |= ~std::uint64_t{0} << b_lo;
-  for (std::size_t w = w_lo + 1; w < w_hi; ++w) words[w] = ~std::uint64_t{0};
-  words[w_hi] |= b_hi + 1 >= kLanesPerMaskWord
-                     ? ~std::uint64_t{0}
-                     : (std::uint64_t{1} << (b_hi + 1)) - 1;
-}
-
-/// Invokes `fn(lane)` for every set lane, ascending.
+/// Invokes `fn(lane)` for every set lane of `mask`, ascending.
 template <typename Fn>
-constexpr void for_each_set_lane(const std::uint64_t* words,
-                                 std::size_t num_words, Fn&& fn) {
-  for (std::size_t w = 0; w < num_words; ++w) {
-    std::uint64_t m = words[w];
-    while (m != 0) {
-      fn(w * kLanesPerMaskWord + ctz64(m));
-      m &= m - 1;
-    }
+constexpr void for_each_set_lane(std::uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    fn(ctz64(mask));
+    mask &= mask - 1;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "pagerank/window_state.hpp"
 #include "par/parallel_for.hpp"
 #include "test_helpers.hpp"
 
@@ -202,6 +203,12 @@ TEST(PostmortemRunner, LargeVectorLengthClamped) {
     ASSERT_LT(test::linf_diff(sink.dense(w, events.num_vertices()), ref),
               1e-8);
   }
+  // The memory estimate counts the lanes the batches ran with.
+  cfg.vector_length = kMaxSpmmLanes;
+  NullSink capped;
+  EXPECT_EQ(run_postmortem(events, spec, capped, cfg)
+                .peak_memory_estimate_bytes,
+            r.peak_memory_estimate_bytes);
 }
 
 TEST(PostmortemRunner, ChecksumSinkMatchesStoreAll) {

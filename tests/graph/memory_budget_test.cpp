@@ -22,59 +22,5 @@ TEST(MemoryBudget, EstimateMatchesSetAccounting) {
   EXPECT_GT(est.peak_bytes(2), est.peak_bytes(1));
 }
 
-TEST(MemoryBudget, MorePartsShrinkLargestPart) {
-  Fixture f;
-  const MemoryEstimate one = predict_memory(f.events, f.spec, 1, 16);
-  const MemoryEstimate many = predict_memory(f.events, f.spec, 16, 16);
-  EXPECT_LT(many.largest_part_bytes, one.largest_part_bytes);
-  // Overlap duplication: total representation does not shrink.
-  EXPECT_GE(many.representation_bytes, one.representation_bytes / 2);
-}
-
-TEST(MemoryBudget, PredictionUpperBoundsReality) {
-  Fixture f;
-  for (const std::size_t parts : {1u, 4u, 8u}) {
-    const MultiWindowSet set = MultiWindowSet::build(f.events, f.spec, parts);
-    const MemoryEstimate actual = estimate_memory(set, 1);
-    const MemoryEstimate predicted =
-        predict_memory(f.events, f.spec, parts, 1);
-    EXPECT_GE(predicted.representation_bytes * 2,
-              actual.representation_bytes)
-        << parts;
-    EXPECT_GE(predicted.largest_part_bytes * 2, actual.largest_part_bytes)
-        << parts;
-  }
-}
-
-TEST(MemoryBudget, HugeBudgetSuggestsOnePart) {
-  Fixture f;
-  EXPECT_EQ(suggest_num_multi_windows(f.events, f.spec, 1ULL << 40, 16, 1),
-            1u);
-}
-
-TEST(MemoryBudget, TinyBudgetSuggestsMaxDecomposition) {
-  Fixture f;
-  const std::size_t y =
-      suggest_num_multi_windows(f.events, f.spec, 1024, 16, 1);
-  EXPECT_GE(y, f.spec.count / 2);  // pushed to (near) the window count
-}
-
-TEST(MemoryBudget, SuggestionFitsBudgetWhenPossible) {
-  Fixture f;
-  const MemoryEstimate full = predict_memory(f.events, f.spec, 1, 8);
-  // A budget a bit above the two-part footprint must be satisfiable.
-  const std::size_t budget = full.peak_bytes(1);
-  const std::size_t y =
-      suggest_num_multi_windows(f.events, f.spec, budget, 8, 1);
-  const MemoryEstimate chosen = predict_memory(f.events, f.spec, y, 8);
-  EXPECT_LE(chosen.peak_bytes(1), budget);
-}
-
-TEST(MemoryBudget, MoreContextsNeedMoreMemory) {
-  Fixture f;
-  const MemoryEstimate est = predict_memory(f.events, f.spec, 4, 16);
-  EXPECT_GT(est.peak_bytes(8), est.peak_bytes(1));
-}
-
 }  // namespace
 }  // namespace pmpr

@@ -1,7 +1,6 @@
 #include "oracle/reference_kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -17,31 +16,26 @@ namespace pmpr::oracle {
 
 namespace {
 
-/// Max-width run mask on the stack; only the first mask_words_for(lanes)
-/// words are touched.
-using RunMask = std::array<std::uint64_t, mask_words_for(kMaxSpmmLanes)>;
-
 template <bool Atomic>
 void scatter_spmm_rows(const MultiWindowGraph& part, const WindowSpec& spec,
                        const SpmmBatch& batch, SpmmWindowState& out,
                        std::size_t lo, std::size_t hi) {
   const std::size_t lanes = batch.lanes;
-  const std::size_t words = out.mask_words;
   for (std::size_t v = lo; v < hi; ++v) {
     const auto cols = part.in.row_cols(static_cast<VertexId>(v));
     const auto times = part.in.row_times(static_cast<VertexId>(v));
-    RunMask v_mask{};
+    std::uint64_t v_mask = 0;
     std::size_t i = 0;
     while (i < cols.size()) {
       const VertexId u = cols[i];
-      RunMask run_mask{};
+      std::uint64_t run_mask = 0;
       while (i < cols.size() && cols[i] == u) {
-        lanes_containing_into(spec, batch, times[i], run_mask.data());
+        run_mask |= lanes_containing(spec, batch, times[i]);
         ++i;
       }
-      if (!mask_any(run_mask.data(), words)) continue;
+      if (run_mask == 0) continue;
       // u gains one distinct out-neighbor in every lane of run_mask.
-      for_each_set_lane(run_mask.data(), words, [&](std::size_t k) {
+      for_each_set_lane(run_mask, [&](std::size_t k) {
         if constexpr (Atomic) {
           std::atomic_ref<std::uint32_t> deg(out.out_degree[u * lanes + k]);
           // relaxed: pure commutative count; published by the join.
@@ -50,26 +44,22 @@ void scatter_spmm_rows(const MultiWindowGraph& part, const WindowSpec& spec,
           ++out.out_degree[u * lanes + k];
         }
       });
-      for (std::size_t w = 0; w < words; ++w) {
-        v_mask[w] |= run_mask[w];
-        if (run_mask[w] == 0) continue;
-        if constexpr (Atomic) {
-          std::atomic_ref<std::uint64_t> mask(out.active_mask[u * words + w]);
-          // relaxed: commutative bit-set; published by the join.
-          mask.fetch_or(run_mask[w], std::memory_order_relaxed);
-        } else {
-          out.active_mask[u * words + w] |= run_mask[w];
-        }
+      v_mask |= run_mask;
+      if constexpr (Atomic) {
+        std::atomic_ref<std::uint64_t> mask(out.active_mask[u]);
+        // relaxed: commutative bit-set; published by the join.
+        mask.fetch_or(run_mask, std::memory_order_relaxed);
+      } else {
+        out.active_mask[u] |= run_mask;
       }
     }
-    for (std::size_t w = 0; w < words; ++w) {
-      if (v_mask[w] == 0) continue;
+    if (v_mask != 0) {
       if constexpr (Atomic) {
-        std::atomic_ref<std::uint64_t> mask(out.active_mask[v * words + w]);
+        std::atomic_ref<std::uint64_t> mask(out.active_mask[v]);
         // relaxed: commutative bit-set; published by the join.
-        mask.fetch_or(v_mask[w], std::memory_order_relaxed);
+        mask.fetch_or(v_mask, std::memory_order_relaxed);
       } else {
-        out.active_mask[v * words + w] |= v_mask[w];
+        out.active_mask[v] |= v_mask;
       }
     }
   }
@@ -111,58 +101,47 @@ double dangling_mass(const WindowState& state, std::span<const double> x) {
 }
 
 /// One shared sweep over rows [lo, hi) advancing all lanes live in
-/// `live_mask` (mask_words words). Accumulates the per-lane L1 change into
-/// `diff`. This is the reference kernel the compiled sweeps must match
-/// bit-for-bit when run serially; like them it uses an explicit fused
-/// multiply-add per contribution.
+/// `live_mask`. Accumulates the per-lane L1 change into `diff`. This is the
+/// reference kernel the compiled sweeps must match bit-for-bit when run
+/// serially; like them it uses an explicit fused multiply-add per
+/// contribution.
 void sweep_batch_rows(const MultiWindowGraph& part, const WindowSpec& spec,
                       const SpmmBatch& batch, const SpmmWindowState& state,
                       std::span<const double> x, std::span<double> x_next,
                       const LaneVec& base, double one_minus_alpha,
-                      const std::uint64_t* live_mask, LaneVec& diff,
-                      std::size_t lo, std::size_t hi) {
+                      std::uint64_t live_mask, LaneVec& diff, std::size_t lo,
+                      std::size_t hi) {
   const std::size_t lanes = batch.lanes;
-  const std::size_t words = state.mask_words;
-  LiveMask acc_scratch{};  // per-run lane mask, reused across runs
   std::vector<double> acc(lanes);
   std::uint64_t edges = 0;  // flushed once per chunk, not per edge
   for (std::size_t v = lo; v < hi; ++v) {
-    const std::uint64_t* v_active = state.mask_of(v);
-    std::uint64_t any_update = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      any_update |= v_active[w] & live_mask[w];
-    }
+    const std::uint64_t v_active = state.active_mask[v];
+    const std::uint64_t update = v_active & live_mask;
     // Frozen (converged) and inactive lanes keep their current value so the
     // buffers can be swapped; accumulate only for live active lanes.
     for (std::size_t k = 0; k < lanes; ++k) {
       acc[k] = base[k];
     }
 
-    if (any_update != 0) {
+    if (update != 0) {
       const auto cols = part.in.row_cols(static_cast<VertexId>(v));
       const auto times = part.in.row_times(static_cast<VertexId>(v));
       edges += cols.size();
       std::size_t i = 0;
       while (i < cols.size()) {
         const VertexId u = cols[i];
-        LiveMask& run_mask = acc_scratch;
-        run_mask.fill(0);
+        std::uint64_t run_mask = 0;
         while (i < cols.size() && cols[i] == u) {
-          lanes_containing_into(spec, batch, times[i], run_mask.data());
+          run_mask |= lanes_containing(spec, batch, times[i]);
           ++i;
         }
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t m = run_mask[w] & v_active[w] & live_mask[w];
-          while (m != 0) {
-            const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-            m &= m - 1;
-            acc[k] = std::fma(
-                one_minus_alpha,
-                x[u * lanes + k] /
-                    static_cast<double>(state.out_degree[u * lanes + k]),
-                acc[k]);
-          }
-        }
+        for_each_set_lane(run_mask & update, [&](std::size_t k) {
+          acc[k] = std::fma(
+              one_minus_alpha,
+              x[u * lanes + k] /
+                  static_cast<double>(state.out_degree[u * lanes + k]),
+              acc[k]);
+        });
       }
     }
 
@@ -185,22 +164,15 @@ void sweep_batch_rows(const MultiWindowGraph& part, const WindowSpec& spec,
 /// Per-lane dangling mass of live lanes from the current vectors, scanning
 /// rows [lo, hi) of the full vertex space (reference path).
 LaneVec dangling_scan(const SpmmWindowState& state, const double* cur,
-                      std::size_t lanes, const std::uint64_t* live_mask,
+                      std::size_t lanes, std::uint64_t live_mask,
                       std::size_t lo, std::size_t hi) {
   LaneVec dangling(lanes, 0.0);
-  const std::size_t words = state.mask_words;
   for (std::size_t v = lo; v < hi; ++v) {
-    const std::uint64_t* v_active = state.mask_of(v);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t m = v_active[w] & live_mask[w];
-      while (m != 0) {
-        const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-        m &= m - 1;
-        if (state.out_degree[v * lanes + k] == 0) {
-          dangling[k] += cur[v * lanes + k];
-        }
+    for_each_set_lane(state.active_mask[v] & live_mask, [&](std::size_t k) {
+      if (state.out_degree[v * lanes + k] == 0) {
+        dangling[k] += cur[v * lanes + k];
       }
-    }
+    });
   }
   obs::count(obs::Counter::kDanglingScanned, hi - lo);
   return dangling;
@@ -211,8 +183,8 @@ LaneVec dangling_scan(const SpmmWindowState& state, const double* cur,
 void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
                         const SpmmBatch& batch, SpmmWindowState& out,
                         const par::ForOptions* parallel) {
-  // Release-mode check: an oversized lane count would index past the mask
-  // words.
+  // Release-mode check: an oversized lane count would shift lane bits past
+  // the mask word.
   PMPR_CHECK_MSG(batch.lanes >= 1 && batch.lanes <= kMaxSpmmLanes,
                  "SpMM batch lanes " << batch.lanes << " outside [1, "
                                      << kMaxSpmmLanes << "]");
@@ -230,7 +202,7 @@ void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
     scatter_spmm_rows<false>(part, spec, batch, out, 0, n);
   }
   for (std::size_t v = 0; v < n; ++v) {
-    for_each_set_lane(out.mask_of(v), out.mask_words,
+    for_each_set_lane(out.active_mask[v],
                       [&](std::size_t k) { ++out.num_active[k]; });
   }
 }
@@ -309,10 +281,9 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
                                      << kMaxSpmmLanes << "]");
   assert(x.size() == n * lanes && scratch.size() == n * lanes);
   assert(state.lanes == lanes);
-  const std::size_t words = state.mask_words;
 
   const double one_minus_alpha = 1.0 - params.alpha;
-  auto dangling_of = [&](const double* cur, const std::uint64_t* live_mask) {
+  auto dangling_of = [&](const double* cur, std::uint64_t live_mask) {
     if (parallel != nullptr) {
       return par::parallel_reduce(
           0, n, LaneVec(lanes, 0.0), *parallel,
@@ -324,7 +295,7 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
     return dangling_scan(state, cur, lanes, live_mask, 0, n);
   };
   auto sweep = [&](std::span<const double> cur, std::span<double> next,
-                   const LaneVec& base, const std::uint64_t* live_mask,
+                   const LaneVec& base, std::uint64_t live_mask,
                    LaneVec& diff) {
     if (parallel != nullptr) {
       diff = par::parallel_reduce(
@@ -341,7 +312,7 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
                        one_minus_alpha, live_mask, diff, 0, n);
     }
   };
-  return power_iterate(n, lanes, words, state.num_active, x, scratch, params,
+  return power_iterate(n, lanes, state.num_active, x, scratch, params,
                        dangling_of, sweep);
 }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "oracle/reference_kernels.hpp"
@@ -35,11 +36,9 @@ Built build(const MultiWindowGraph& part, const WindowSpec& spec,
 
 void expect_equal(const Built& ref, const Built& par) {
   EXPECT_EQ(ref.state.lanes, par.state.lanes);
-  EXPECT_EQ(ref.state.mask_words, par.state.mask_words);
   EXPECT_EQ(ref.state.out_degree, par.state.out_degree);
   EXPECT_EQ(ref.state.active_mask, par.state.active_mask);
   EXPECT_EQ(ref.state.num_active, par.state.num_active);
-  EXPECT_EQ(ref.compiled.mask_words, par.compiled.mask_words);
   EXPECT_EQ(ref.compiled.row_ptr, par.compiled.row_ptr);
   EXPECT_EQ(ref.compiled.nbr, par.compiled.nbr);
   EXPECT_EQ(ref.compiled.mask, par.compiled.mask);
@@ -48,7 +47,7 @@ void expect_equal(const Built& ref, const Built& par) {
   EXPECT_EQ(ref.compiled.dangling_mask, par.compiled.dangling_mask);
 }
 
-TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
+TEST(BatchCsrParallel, CompileMatchesSerialAcrossLaneCounts) {
   const TemporalEdgeList events = test::random_events(7001, 60, 4000, 50000);
   const WindowSpec spec{.t0 = 0, .delta = 6000, .sw = 45, .count = 1100};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
@@ -58,13 +57,15 @@ TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
   // TSan) even on small row counts.
   par::ForOptions opts{par::Partitioner::kSimple, 1, nullptr};
   for (const MultiWindowGraph* part : {&set.part(0), &packed.part(0)}) {
-    for (const std::size_t lanes : {std::size_t{16}, std::size_t{64},
-                                    std::size_t{65}, std::size_t{192},
-                                    std::size_t{512}}) {
+    // The wider batches stride over the whole time range, so most rows
+    // scatter into the atomic masks.
+    for (const auto& [lanes, stride] :
+         {std::pair<std::size_t, std::size_t>{16, 1}, {33, 33}, {63, 17},
+          {64, 17}}) {
       SpmmBatch batch;
       batch.lanes = lanes;
       batch.first_window = 0;
-      batch.window_stride = 1;
+      batch.window_stride = stride;
       const Built ref = build(*part, spec, batch, nullptr);
       const Built par = build(*part, spec, batch, &opts);
       expect_equal(ref, par);
@@ -105,9 +106,9 @@ TEST(BatchCsrParallel, ComputeSpmmStateMatchesSerial) {
   const auto& part = set.part(0);
   par::ForOptions opts{par::Partitioner::kSimple, 1, nullptr};
   SpmmBatch batch;
-  batch.lanes = 300;
+  batch.lanes = 60;
   batch.first_window = 0;
-  batch.window_stride = 1;
+  batch.window_stride = 5;
   SpmmWindowState ref;
   oracle::compute_spmm_state(part, spec, batch, ref);
   SpmmWindowState par;
@@ -124,9 +125,9 @@ TEST(BatchCsrParallel, RepeatedParallelCompilesAreDeterministic) {
   const auto& part = set.part(0);
   par::ForOptions opts{par::Partitioner::kAuto, 2, nullptr};
   SpmmBatch batch;
-  batch.lanes = 120;
+  batch.lanes = 60;
   batch.first_window = 0;
-  batch.window_stride = 1;
+  batch.window_stride = 2;
   const Built first = build(part, spec, batch, &opts);
   for (int round = 0; round < 3; ++round) {
     const Built again = build(part, spec, batch, &opts);

@@ -41,7 +41,6 @@ SpmmBatch batch_for(const WindowSpec& spec, std::size_t lanes,
 
 void expect_same_batch(const CompiledBatchCsr& a, const CompiledBatchCsr& b) {
   EXPECT_EQ(a.lanes, b.lanes);
-  EXPECT_EQ(a.mask_words, b.mask_words);
   EXPECT_EQ(a.row_ptr, b.row_ptr);
   EXPECT_EQ(a.nbr, b.nbr);
   EXPECT_EQ(a.mask, b.mask);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -41,7 +42,7 @@ struct Fixture {
         set(MultiWindowSet::build(events, spec, 1)) {}
 };
 
-/// Enough heavily-overlapping windows that every lane of a 512-wide batch
+/// Enough heavily-overlapping windows that every lane of a 64-wide batch
 /// at stride 2 maps to a real (event-carrying) window.
 WindowSpec wide_spec() {
   return WindowSpec{.t0 = 0, .delta = 6000, .sw = 45, .count = 1100};
@@ -65,7 +66,7 @@ std::vector<double> init_x(const SpmmWindowState& state, std::size_t n) {
             : 0.0;
     for (std::size_t v = 0; v < n; ++v) {
       x[v * state.lanes + k] =
-          mask_test(state.mask_of(v), k) ? uniform : 0.0;
+          mask_test(state.active_mask[v], k) ? uniform : 0.0;
     }
   }
   return x;
@@ -117,10 +118,11 @@ void expect_stats_equal(const SpmmStats& a, const SpmmStats& b) {
   }
 }
 
-TEST(CompiledSpmm, SerialBitIdenticalAcrossLanesStridesDangling) {
-  const Fixture f(1201);
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{64}}) {
+/// Serial compiled runs must be bit-identical to the reference kernel at
+/// every lane count × stride {1, 2} × dangling on/off.
+void expect_serial_bit_identical(
+    const Fixture& f, std::initializer_list<std::size_t> lane_counts) {
+  for (const std::size_t lanes : lane_counts) {
     for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
       for (const bool dangling : {true, false}) {
         SpmmBatch batch;
@@ -137,15 +139,25 @@ TEST(CompiledSpmm, SerialBitIdenticalAcrossLanesStridesDangling) {
   }
 }
 
-TEST(CompiledSpmm, ParallelMatchesReference) {
-  const Fixture f(1302);
+// Narrow batches, then both sides of the half-word boundary and the full
+// word on enough windows that every lane is real.
+TEST(CompiledSpmm, SerialBitIdenticalAcrossLanesStridesDangling) {
+  expect_serial_bit_identical(Fixture(1201), {1, 3, 64});
+  expect_serial_bit_identical(Fixture(2101, wide_spec()), {31, 32, 33, 63, 64});
+}
+
+/// Parallel compiled runs must match the reference kernel up to summation
+/// order at every lane count × dangling on/off.
+void expect_parallel_matches_reference(
+    const Fixture& f, std::size_t first_window, std::size_t stride,
+    std::initializer_list<std::size_t> lane_counts) {
   par::ForOptions opts{par::Partitioner::kAuto, 4, nullptr};
-  for (const std::size_t lanes : {std::size_t{3}, std::size_t{16}}) {
+  for (const std::size_t lanes : lane_counts) {
     for (const bool dangling : {true, false}) {
       SpmmBatch batch;
       batch.lanes = std::min(lanes, f.spec.count);
-      batch.first_window = 1;
-      batch.window_stride = 2;
+      batch.first_window = first_window;
+      batch.window_stride = stride;
       const SpmmRun ref = run_reference(f, batch, dangling, &opts);
       const SpmmRun cmp = run_compiled(f, batch, dangling, &opts);
       ASSERT_EQ(ref.stats.iterations, cmp.stats.iterations);
@@ -158,6 +170,12 @@ TEST(CompiledSpmm, ParallelMatchesReference) {
       EXPECT_LT(linf, 1e-12) << "lanes=" << lanes;
     }
   }
+}
+
+TEST(CompiledSpmm, ParallelMatchesReference) {
+  expect_parallel_matches_reference(Fixture(1302), 1, 2, {3, 16});
+  expect_parallel_matches_reference(Fixture(2202, wide_spec()), 0, 1,
+                                    {31, 32, 33, 63, 64});
 }
 
 // Every window of a 3-part set. Each part's windows chain through
@@ -239,68 +257,19 @@ TEST(CompiledSpmv, ParallelMatchesReference) {
   EXPECT_LT(linf, 1e-12);
 }
 
-// Wide batches: every mask-word count {1, 2, 4, 8}, both word-boundary
-// sides (63/64/65, 127/128), a non-power-of-two interior point (192), and
-// the clamp edge (511/512). Serial compiled runs must be bit-identical to
-// the reference kernel in all of them.
-TEST(CompiledSpmm, WideLanesSerialBitIdentical) {
-  const Fixture f(2101, wide_spec());
-  for (const std::size_t lanes :
-       {std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
-        std::size_t{128}, std::size_t{192}, std::size_t{511},
-        std::size_t{512}}) {
-    for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
-      for (const bool dangling : {true, false}) {
-        SpmmBatch batch;
-        batch.lanes = lanes;
-        batch.first_window = 0;
-        batch.window_stride = stride;
-        ASSERT_LE(batch.window_of_lane(lanes - 1), f.spec.count - 1);
-        const SpmmRun ref = run_reference(f, batch, dangling, nullptr);
-        const SpmmRun cmp = run_compiled(f, batch, dangling, nullptr);
-        ASSERT_EQ(ref.x, cmp.x) << "lanes=" << lanes << " stride=" << stride
-                                << " dangling=" << dangling;
-        expect_stats_equal(ref.stats, cmp.stats);
-      }
-    }
-  }
-}
-
-TEST(CompiledSpmm, WideLanesParallelMatchesReference) {
-  const Fixture f(2202, wide_spec());
-  par::ForOptions opts{par::Partitioner::kAuto, 4, nullptr};
-  for (const std::size_t lanes : {std::size_t{128}, std::size_t{512}}) {
-    SpmmBatch batch;
-    batch.lanes = lanes;
-    batch.first_window = 0;
-    batch.window_stride = 1;
-    const SpmmRun ref = run_reference(f, batch, true, &opts);
-    const SpmmRun cmp = run_compiled(f, batch, true, &opts);
-    ASSERT_EQ(ref.stats.iterations, cmp.stats.iterations);
-    ASSERT_EQ(ref.x.size(), cmp.x.size());
-    double linf = 0.0;
-    for (std::size_t i = 0; i < ref.x.size(); ++i) {
-      linf = std::max(linf, std::abs(ref.x[i] - cmp.x[i]));
-    }
-    // Parallel chunking only changes floating-point summation order.
-    EXPECT_LT(linf, 1e-12) << "lanes=" << lanes;
-  }
-}
-
 /// Forced-ISA differential: each vector kernel must produce exactly the
 /// scalar kernel's bits (all sweeps perform the same per-lane FP ops in
 /// the same order; cross-lane vectorization touches independent
-/// accumulators). Parameterized over lane counts so every mask-word
-/// template instantiation of every ISA is exercised.
+/// accumulators). The lane counts sit on both sides of every AVX2 4-lane
+/// nibble and AVX-512 8-lane byte tail they can, up to the full word.
 void expect_isa_matches_scalar(SimdIsa isa, SimdMode mode) {
   if (!simd_isa_supported(isa)) {
     GTEST_SKIP() << to_string(isa)
                  << " not built or not supported on this host";
   }
   const Fixture f(2303, wide_spec());
-  for (const std::size_t lanes : {std::size_t{5}, std::size_t{64},
-                                  std::size_t{65}, std::size_t{192},
-                                  std::size_t{512}}) {
+  for (const std::size_t lanes : std::initializer_list<std::size_t>{
+           1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 63, 64}) {
     for (const bool dangling : {true, false}) {
       SpmmBatch batch;
       batch.lanes = lanes;
@@ -327,7 +296,7 @@ TEST(CompiledSpmmDispatch, Avx512BitIdenticalToScalar) {
 TEST(CompiledSpmmDispatch, AutoBitIdenticalToScalarSerial) {
   const Fixture f(2404, wide_spec());
   SpmmBatch batch;
-  batch.lanes = 96;
+  batch.lanes = 63;
   batch.first_window = 3;
   batch.window_stride = 2;
   const SpmmRun scalar =
@@ -337,15 +306,15 @@ TEST(CompiledSpmmDispatch, AutoBitIdenticalToScalarSerial) {
   expect_stats_equal(scalar.stats, any.stats);
 }
 
-// The pre-PR 6 kernels clamped batches at 64 lanes with a debug-only
-// assert: a release build fed lanes > 64 shifted a uint64_t by >= 64 (UB)
-// and scribbled whatever the hardware returned into the masks. The bound
-// is now a release-mode invariant on every entry point.
+// A lane mask is one uint64_t: a release build fed lanes > 64 would shift
+// it by >= 64 (UB) and scribble whatever the hardware returned into the
+// masks. The bound is a release-mode invariant on every entry point.
 TEST(CompiledSpmm, MalformedLaneCountsThrow) {
+  static_assert(kMaxSpmmLanes == 64);
   const Fixture f(2505);
   const auto& part = f.set.part(0);
   for (const std::size_t lanes : {std::size_t{0}, kMaxSpmmLanes + 1,
-                                  std::size_t{100000}}) {
+                                  std::size_t{512}, std::size_t{100000}}) {
     SpmmBatch batch;
     batch.lanes = lanes;
     batch.first_window = 0;
