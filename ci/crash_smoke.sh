@@ -52,7 +52,7 @@ assert len(events) >= 1, "crash: no flight-recorder events retained"
 kinds = {ev["kind"] for ev in events}
 assert "window_done" in kinds or "span_begin" in kinds, \
     f"crash: no run breadcrumbs in the ring; got {kinds}"
-assert "memory" in crash and "heartbeats" in crash
+assert "heartbeats" in crash
 print(f"crash_smoke segv OK: {reports[0]} with {len(events)} ring events")
 EOF
 

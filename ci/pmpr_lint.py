@@ -51,9 +51,8 @@ cannot express:
 
   proc-syscall-confined     Process-introspection primitives (/proc/self
                             paths, getrusage, mincore) are confined to
-                            src/util/, src/io/, and src/obs/ — the memory
-                            observability pillar's readers
-                            (obs::current_rss_bytes, obs::peak_rss_bytes,
+                            src/util/, src/io/, and src/obs/ — the
+                            sanctioned readers (obs::peak_rss_bytes,
                             io::MmapFile::resident_bytes). Ad-hoc RSS
                             probes elsewhere fragment the cost model and
                             skip the platform normalisation those wrappers
@@ -69,7 +68,7 @@ cannot express:
                             covers sleeping primitives (sleep_for /
                             sleep_until / wait_for / wait_until): a
                             sleeping poll loop outside the sanctioned
-                            spots (the CondVar wrapper, the sampler's
+                            spots (the CondVar wrapper, the watchdog's
                             interruptible pacing, the pool's bounded park)
                             is a latency bug waiting to be profiled, not a
                             synchronisation strategy.
@@ -111,11 +110,8 @@ ALLOW = {
     "atomic-order-comment": set(),
     "raw-concurrency-type": {
         "src/util/thread_annotations.hpp",
-        # The sampling profiler owns one background std::thread; its mutex
-        # and condvar still go through the annotated wrappers.
-        "src/obs/sampler.hpp",
-        "src/obs/sampler.cpp",
-        # Same structure for the watchdog monitor thread.
+        # The watchdog owns one background std::thread; its mutex and
+        # condvar still go through the annotated wrappers.
         "src/obs/watchdog.hpp",
         "src/obs/watchdog.cpp",
     },
@@ -166,8 +162,8 @@ ALLOW_DIRS = {
     "reinterpret-cast-outside-io": ("src/io/",),
     # The MmapFile wrapper is the single audited home for mapping syscalls.
     "mmap-syscall-confined": ("src/io/",),
-    # The sanctioned process-introspection readers: obs/memory.cpp's RSS
-    # readers, MmapFile::resident_bytes' mincore scan, and util/ helpers.
+    # The sanctioned process-introspection readers: obs/memory.cpp's peak
+    # RSS reader, MmapFile::resident_bytes' mincore scan, and util/ helpers.
     "proc-syscall-confined": ("src/util/", "src/io/", "src/obs/"),
     # The SIMD dispatch + sweep family: the only files built with -mavx*
     # flags, so the only files where the intrinsics cannot SIGILL.
@@ -320,7 +316,7 @@ def _check_raw_clock(scan):
                     i + 1,
                     name,
                     f"sleeping primitive {m.group(1)}() outside the "
-                    "sanctioned spots (CondVar wrapper, obs/ sampler "
+                    "sanctioned spots (CondVar wrapper, obs/ watchdog "
                     "pacing, pool park backstop); use event-driven waits, "
                     "not sleep polling",
                 )
@@ -411,8 +407,8 @@ RULES = [
         "proc-syscall-confined",
         PROC_SYSCALL,
         lambda m: f"process introspection `{m.group(0).strip()}` outside "
-        "src/util//src/io//src/obs/; use obs::current_rss_bytes / "
-        "obs::peak_rss_bytes / io::MmapFile::resident_bytes "
+        "src/util//src/io//src/obs/; use obs::peak_rss_bytes / "
+        "io::MmapFile::resident_bytes "
         "(obs/memory.hpp)",
     ),
 ]

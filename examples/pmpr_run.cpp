@@ -5,14 +5,11 @@
 //   ./pmpr_run --model postmortem --trace trace.json --metrics metrics.json
 //
 // Load trace.json in https://ui.perfetto.dev (or chrome://tracing) to see
-// the per-phase spans; metrics.json holds the pmpr-metrics-v4 record
-// (counters, phase-latency histograms, per-tag memory accounting, sampler
-// summary, diagnostics, residual trajectories). Add --profile to run the
-// background scheduler sampler during the run: its summary lands in the JSON
-// and, with --trace, its queue-depth/parked-worker gauges plus the mem.*
-// memory tracks appear as counter tracks under the span timeline.
-// ci/obs_smoke.sh validates both shapes; --mem-report prints the per-tag
-// table on stdout.
+// the per-phase spans; metrics.json holds the pmpr-metrics-v5 record
+// (counters, phase-latency histograms, paging residency, diagnostics,
+// residual trajectories). ci/obs_smoke.sh validates both shapes. The
+// "~X MiB peak" on the summary line is the run's memory model
+// (RunResult::peak_memory_bytes); "maxrss" is the measured process peak.
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -59,9 +56,6 @@ int main(int argc, char** argv) {
   std::int64_t parts = 0;
   std::string trace_path;
   std::string metrics_path;
-  bool profile = false;
-  bool mem_report = false;
-  std::int64_t profile_interval_ms = 10;
   std::string flight_recorder_path;
   std::int64_t watchdog_ms = 0;
   std::string crash_dump_dir;
@@ -98,15 +92,7 @@ int main(int argc, char** argv) {
   opts.add("trace", &trace_path,
            "write a Chrome trace-event JSON (Perfetto-loadable) here");
   opts.add("metrics", &metrics_path,
-           "write the pmpr-metrics-v4 run record here");
-  opts.add("profile", &profile,
-           "sample the scheduler during the run (sampler summary in "
-           "--metrics, counter tracks in --trace)");
-  opts.add("mem-report", &mem_report,
-           "print the per-tag memory accounting table (live/peak per "
-           "MemTag, measured vs estimated peak) at exit");
-  opts.add("profile-interval-ms", &profile_interval_ms,
-           "sampler tick period in milliseconds");
+           "write the pmpr-metrics-v5 run record here");
   opts.add("flight-recorder", &flight_recorder_path,
            "keep the in-memory flight recorder on and write its "
            "pmpr-blackbox-v1 JSON (recent events per thread) here at exit");
@@ -160,10 +146,6 @@ int main(int argc, char** argv) {
     return reject("--memory-budget-mb " + std::to_string(memory_budget_mb) +
                   " must be >= 0 and fit in bytes (0 = one part at a time)");
   }
-  if (profile_interval_ms < 1) {
-    return reject("--profile-interval-ms " +
-                  std::to_string(profile_interval_ms) + " must be >= 1");
-  }
   if (watchdog_ms < 0) {
     return reject("--watchdog-ms " + std::to_string(watchdog_ms) +
                   " must be >= 0 (0 = off)");
@@ -188,7 +170,6 @@ int main(int argc, char** argv) {
   obs::set_counters_enabled(true);
   obs::set_metrics_enabled(true);
   obs::set_histograms_enabled(true);
-  obs::set_memory_accounting_enabled(true);
   if (!trace_path.empty()) obs::set_tracing_enabled(true);
   // Failure diagnostics: the recorder is cheap enough to keep on whenever
   // any of the three surfaces (blackbox file, watchdog dump, crash report)
@@ -216,15 +197,6 @@ int main(int argc, char** argv) {
   std::printf("%s surrogate: %zu events, %u vertices, %zu windows\n",
               dataset.c_str(), events.size(), events.num_vertices(),
               windows.count);
-
-  std::unique_ptr<obs::Sampler> sampler;
-  if (profile) {
-    obs::SamplerOptions sampler_opts;
-    sampler_opts.interval = std::chrono::milliseconds(profile_interval_ms);
-    sampler = std::make_unique<obs::Sampler>(par::ThreadPool::global(),
-                                             sampler_opts);
-    sampler->start();
-  }
 
   std::unique_ptr<obs::Watchdog> watchdog;
   if (watchdog_ms > 0) {
@@ -329,17 +301,6 @@ int main(int argc, char** argv) {
                 watchdog->fires() > 0 ? ", last stalled phase " : "",
                 watchdog->fires() > 0 ? wd.last_stalled_phase.c_str() : "");
   }
-  if (sampler != nullptr) {
-    sampler->stop();
-    const obs::SamplerSummary sum = sampler->summary();
-    std::printf("sampler    : %llu ticks @ %llums — queue mean %.1f max "
-                "%llu, parked mean %.1f, steal success %.2f\n",
-                static_cast<unsigned long long>(sum.num_samples),
-                static_cast<unsigned long long>(sum.interval_ms),
-                sum.mean_total_queued,
-                static_cast<unsigned long long>(sum.max_total_queued),
-                sum.mean_parked_workers, sum.mean_steal_success_rate);
-  }
   const obs::PhaseHistogram& iter_hist =
       result.histograms[obs::Phase::kIterate];
   if (iter_hist.total_count() > 0) {
@@ -365,34 +326,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   result.counters[obs::Counter::kVerticesReused]));
 
-  if (mem_report) {
-    // Per-tag accounting at exit: live should be near zero for run-scoped
-    // tags (their RAII charges released with the representation), peak is
-    // the process watermark the estimate is audited against.
-    std::printf("mem-report : %-16s %14s %14s %14s\n", "tag", "alloc (B)",
-                "live (B)", "peak (B)");
-    for (std::size_t i = 0; i < obs::kNumMemTags; ++i) {
-      const obs::MemTagSnapshot& t = result.memory.tags[i];
-      std::printf("mem-report : %-16s %14llu %14lld %14llu\n",
-                  std::string(obs::to_string(static_cast<obs::MemTag>(i)))
-                      .c_str(),
-                  static_cast<unsigned long long>(t.alloc_bytes),
-                  static_cast<long long>(t.live_bytes),
-                  static_cast<unsigned long long>(t.peak_bytes));
-    }
-    const double measured =
-        static_cast<double>(result.memory.total_peak_bytes);
-    const double estimate =
-        static_cast<double>(result.peak_memory_estimate_bytes);
-    std::printf("mem-report : peak measured %.2f MiB vs estimate %.2f MiB "
-                "(%+.1f%%)\n",
-                measured / (1024 * 1024), estimate / (1024 * 1024),
-                estimate > 0.0 ? (measured - estimate) / estimate * 100.0
-                               : 0.0);
-  }
-
   if (!metrics_path.empty()) {
-    if (!obs::write_metrics_json(result, metrics_path, sampler.get())) {
+    if (!obs::write_metrics_json(result, metrics_path)) {
       std::fprintf(stderr, "failed to write metrics to %s\n",
                    metrics_path.c_str());
       return 1;

@@ -6,8 +6,6 @@
 
 #include "obs/crash.hpp"
 #include "obs/flightrec.hpp"
-#include "obs/memory.hpp"
-#include "obs/sampler.hpp"
 #include "obs/watchdog.hpp"
 
 namespace pmpr::obs {
@@ -35,10 +33,9 @@ void write_phase_histogram(const PhaseHistogram& h, std::ostream& out) {
 
 }  // namespace
 
-void write_metrics_json(const RunResult& result, std::ostream& out,
-                        const Sampler* sampler) {
+void write_metrics_json(const RunResult& result, std::ostream& out) {
   out << "{\n";
-  out << "  \"schema\": \"pmpr-metrics-v4\",\n";
+  out << "  \"schema\": \"pmpr-metrics-v5\",\n";
   out << "  \"build_seconds\": " << fmt(result.build_seconds) << ",\n";
   out << "  \"compute_seconds\": " << fmt(result.compute_seconds) << ",\n";
   out << "  \"total_seconds\": " << fmt(result.total_seconds()) << ",\n";
@@ -67,30 +64,11 @@ void write_metrics_json(const RunResult& result, std::ostream& out,
   }
   out << "\n  },\n";
 
-  // Memory pillar (v3). Always present, all zeros when
-  // obs::set_memory_accounting_enabled(true) was not active during the
-  // run. alloc/free are run deltas; live/peak are process watermarks.
+  // Paging residency and read amplification (all zeros for in-RAM runs):
+  // the mincore-scanned store residency peak against the budget charge the
+  // LRU policy maintained. The signed delta exposes readahead (positive)
+  // and lazy faulting (negative).
   out << "  \"memory\": {\n";
-  out << "    \"tags\": {";
-  for (std::size_t i = 0; i < kNumMemTags; ++i) {
-    const MemTagSnapshot& t = result.memory.tags[i];
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << to_string(static_cast<MemTag>(i))
-        << "\": {\"alloc_bytes\": " << t.alloc_bytes
-        << ", \"free_bytes\": " << t.free_bytes
-        << ", \"live_bytes\": " << t.live_bytes
-        << ", \"peak_bytes\": " << t.peak_bytes << "}";
-  }
-  out << "\n    },\n";
-  out << "    \"total_live_bytes\": " << result.memory.total_live_bytes
-      << ",\n";
-  out << "    \"peak_bytes_measured\": " << result.memory.total_peak_bytes
-      << ",\n";
-  out << "    \"peak_bytes_estimate\": " << result.peak_memory_estimate_bytes
-      << ",\n";
-  // Oocore ground truth vs charge: the mincore-scanned store residency
-  // peak against the budget charge the LRU policy maintained. The signed
-  // delta exposes readahead (positive) and lazy faulting (negative).
   out << "    \"oocore_resident_peak_charged_bytes\": "
       << result.oocore_resident_peak_bytes << ",\n";
   out << "    \"oocore_resident_peak_measured_bytes\": "
@@ -102,23 +80,7 @@ void write_metrics_json(const RunResult& result, std::ostream& out,
   out << "    \"read_amplification\": " << fmt(result.read_amplification)
       << "\n  },\n";
 
-  // Always present so consumers need no existence checks; all zeros when
-  // no sampler ran.
-  const SamplerSummary sum =
-      sampler != nullptr ? sampler->summary() : SamplerSummary{};
-  out << "  \"sampler\": {\n";
-  out << "    \"num_samples\": " << sum.num_samples << ",\n";
-  out << "    \"interval_ms\": " << sum.interval_ms << ",\n";
-  out << "    \"mean_total_queued\": " << fmt(sum.mean_total_queued)
-      << ",\n";
-  out << "    \"max_total_queued\": " << sum.max_total_queued << ",\n";
-  out << "    \"mean_parked_workers\": " << fmt(sum.mean_parked_workers)
-      << ",\n";
-  out << "    \"max_parked_workers\": " << sum.max_parked_workers << ",\n";
-  out << "    \"mean_steal_success_rate\": "
-      << fmt(sum.mean_steal_success_rate) << "\n  },\n";
-
-  // Diagnostics pillar (v4): flight-recorder health, watchdog totals, and
+  // Diagnostics pillar: flight-recorder health, watchdog totals, and
   // the live heartbeat table, read at write time (process-wide state, not
   // a RunResult delta — a metrics file is often the last artifact a sick
   // run manages to produce). All zeros/empty when the gates were off.
@@ -168,11 +130,10 @@ void write_metrics_json(const RunResult& result, std::ostream& out,
   out << "\n  ]\n}\n";
 }
 
-bool write_metrics_json(const RunResult& result, const std::string& path,
-                        const Sampler* sampler) {
+bool write_metrics_json(const RunResult& result, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
-  write_metrics_json(result, out, sampler);
+  write_metrics_json(result, out);
   return static_cast<bool>(out);
 }
 

@@ -6,14 +6,12 @@
 // has always had — callers say obs::write_metrics_json.
 //
 // Every runner fills RunResult with per-window convergence data, telemetry
-// counter deltas, per-phase latency histograms, and memory accounting
-// (tagged live/peak per MemTag, measured vs estimated peak, oocore
-// residency, read amplification); write_metrics_json emits the whole
-// record as one JSON object (schema "pmpr-metrics-v4", validated by
+// counter deltas, per-phase latency histograms, and the paging residency
+// and read amplification of out-of-core runs; write_metrics_json emits the
+// whole record as one JSON object (schema "pmpr-metrics-v5", validated by
 // ci/obs_smoke.sh). Benchmarks and the pmpr_run example expose it via
-// `--metrics <path>`; pass a Sampler to also embed the scheduler-profile
-// summary (the "sampler" and "memory" sections are always present —
-// zeroed when disabled — so consumers need no existence checks).
+// `--metrics <path>`. Every section is always present — zeroed when its
+// gate was off — so consumers need no existence checks.
 #pragma once
 
 #include <iosfwd>
@@ -23,25 +21,19 @@
 
 namespace pmpr::obs {
 
-class Sampler;
-
 /// Writes `result` as one JSON object:
-///   { "schema": "pmpr-metrics-v4", "build_seconds": ..., ...,
-///     "diagnostics": {"flight_recorder": {...}, "watchdog": {...},
-///                     "crash_handler_installed": ..., "heartbeats": [...]},
+///   { "schema": "pmpr-metrics-v5", "build_seconds": ..., ...,
 ///     "counters": {"tasks_spawned": ...},
 ///     "histograms": {"build": {"count": ..., "p50_ns": ..., ...}, ...},
-///     "memory": {"tags": {"graph": {"live_bytes": ..., ...}, ...},
-///                "peak_bytes_measured": ..., "read_amplification": ...},
-///     "sampler": {"num_samples": ..., "mean_total_queued": ..., ...},
+///     "memory": {"oocore_resident_peak_charged_bytes": ..., ...,
+///                "read_amplification": ...},
+///     "diagnostics": {"flight_recorder": {...}, "watchdog": {...},
+///                     "crash_handler_installed": ..., "heartbeats": [...]},
 ///     "windows": [{...}, ...] }
-/// `sampler` may be null (the "sampler" section is then all zeros).
-void write_metrics_json(const RunResult& result, std::ostream& out,
-                        const Sampler* sampler = nullptr);
+void write_metrics_json(const RunResult& result, std::ostream& out);
 
 /// File variant; returns false on IO failure.
 [[nodiscard]] bool write_metrics_json(const RunResult& result,
-                                      const std::string& path,
-                                      const Sampler* sampler = nullptr);
+                                      const std::string& path);
 
 }  // namespace pmpr::obs

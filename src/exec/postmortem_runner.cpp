@@ -10,7 +10,6 @@
 #include "obs/counters.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
-#include "obs/memory.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "pagerank/partial_init.hpp"
@@ -417,30 +416,11 @@ class PostmortemDriver {
       PMPR_GUARDED_BY(idle_mu_);
 };
 
-/// Folds the run's memory accounting into `result` (which must already
-/// hold its counter delta). alloc/free tallies become run deltas against
-/// `before`; live/peak stay the process watermarks at run end — watermarks
-/// have no meaningful delta. peak_memory_bytes prefers the measured
-/// tagged-charge watermark over the model estimate when accounting was on;
-/// the estimate always survives in peak_memory_estimate_bytes so drift
-/// between the two stays reportable.
-void finish_memory_accounting(const obs::MemorySnapshot& before,
-                              std::size_t estimate_bytes, RunResult& result) {
-  obs::MemorySnapshot mem = obs::memory_snapshot();
-  for (std::size_t i = 0; i < obs::kNumMemTags; ++i) {
-    // Monotone tallies: never smaller than at run start unless a test
-    // reset the registry mid-run, hence the clamp.
-    mem.tags[i].alloc_bytes -=
-        std::min(mem.tags[i].alloc_bytes, before.tags[i].alloc_bytes);
-    mem.tags[i].free_bytes -=
-        std::min(mem.tags[i].free_bytes, before.tags[i].free_bytes);
-  }
-  result.memory = mem;
-  result.peak_memory_estimate_bytes = estimate_bytes;
-  result.peak_memory_bytes =
-      obs::memory_accounting_enabled() && mem.total_peak_bytes > 0
-          ? static_cast<std::size_t>(mem.total_peak_bytes)
-          : estimate_bytes;
+/// Fills `result`'s memory fields (it must already hold its counter
+/// delta): the model's peak estimate, and the read amplification of runs
+/// that decoded compressed parts.
+void finish_memory_report(std::size_t estimate_bytes, RunResult& result) {
+  result.peak_memory_bytes = estimate_bytes;
   const std::uint64_t decoded = result.counters[obs::Counter::kBytesDecoded];
   const std::uint64_t delivered =
       result.counters[obs::Counter::kWindowOutputBytes];
@@ -465,7 +445,6 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
   result.simd_isa = std::string(to_string(resolve_simd(config.simd)));
   const obs::CounterSnapshot before = obs::counters_snapshot();
   const obs::HistogramSnapshot hist_before = obs::histograms_snapshot();
-  const obs::MemorySnapshot mem_before = obs::memory_snapshot();
   Timer timer;
   {
     PMPR_TRACE_SPAN("postmortem.run");
@@ -488,8 +467,7 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
           : 1;
   const MemoryEstimate est = estimate_memory(set, vlen);
   result.representation_bytes = est.representation_bytes;
-  finish_memory_accounting(mem_before, est.peak_bytes(kernel_contexts),
-                           result);
+  finish_memory_report(est.peak_bytes(kernel_contexts), result);
   return result;
 }
 
@@ -505,7 +483,6 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
   result.simd_isa = std::string(to_string(resolve_simd(config.simd)));
   const obs::CounterSnapshot before = obs::counters_snapshot();
   const obs::HistogramSnapshot hist_before = obs::histograms_snapshot();
-  const obs::MemorySnapshot mem_before = obs::memory_snapshot();
   Timer timer;
   {
     PMPR_TRACE_SPAN("postmortem.run_paged");
@@ -526,17 +503,14 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
   result.oocore_raw_bytes = ps.raw_bytes;
   result.oocore_measured_resident_peak_bytes =
       ps.measured_resident_peak_bytes;
-  // For paged runs the fallback "estimate" is itself a paging measurement:
-  // charged payload peak plus the always-resident vertex maps. The tagged
-  // watermark (when accounting is on) additionally sees compiled kernels
-  // and decode scratch, so the two legitimately diverge.
+  // For paged runs the "estimate" is itself a paging measurement: charged
+  // payload peak plus the always-resident vertex maps.
   std::size_t meta_bytes = 0;
   for (std::size_t p = 0; p < paged.num_parts(); ++p) {
     meta_bytes +=
         paged.part_meta(p).local_to_global.size() * sizeof(VertexId);
   }
-  finish_memory_accounting(mem_before, ps.peak_resident_bytes + meta_bytes,
-                           result);
+  finish_memory_report(ps.peak_resident_bytes + meta_bytes, result);
   return result;
 }
 

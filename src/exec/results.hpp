@@ -14,7 +14,6 @@
 #include "analysis/result_sink.hpp"  // IWYU pragma: export
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
-#include "obs/memory.hpp"
 
 namespace pmpr {
 
@@ -40,18 +39,12 @@ struct RunResult {
   /// same registry-wide delta semantics as `counters`. All empty when
   /// obs::set_histograms_enabled(true) was not active during the run.
   obs::HistogramSnapshot histograms;
-  /// Peak resident bytes of the run's representation + working sets. When
-  /// memory accounting was enabled this is the *measured* tagged-charge
-  /// watermark (memory.total_peak_bytes); otherwise it falls back to the
-  /// model-specific estimate. peak_memory_estimate_bytes always keeps the
-  /// estimate so drift between the two stays reportable.
+  /// Peak resident bytes of the run's representation + working sets, as
+  /// the execution model estimates them (in-RAM postmortem: §4.1
+  /// estimate_memory; paged: the charged paging peak plus vertex maps;
+  /// offline and streaming: their resident-footprint bounds).
+  /// obs::peak_rss_bytes() reads the measured process peak.
   std::size_t peak_memory_bytes = 0;
-  /// The model's formula-based estimate, regardless of accounting state.
-  std::size_t peak_memory_estimate_bytes = 0;
-  /// Tagged-accounting snapshot delta across the run (alloc/free are run
-  /// deltas; live/peak are process watermarks at run end). All zero when
-  /// obs::set_memory_accounting_enabled(true) was not active.
-  obs::MemorySnapshot memory;
   /// Read amplification of compressed/oocore runs: encoded bytes decoded
   /// by compile passes over rank bytes delivered to sinks. 0 when the run
   /// decoded nothing (in-RAM storage) or counters were disabled.

@@ -1,6 +1,7 @@
 #include "exec/streaming_runner.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "obs/counters.hpp"
@@ -77,9 +78,16 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
 
   const VertexId n = events.num_vertices();
   streaming::DynamicGraph graph(n);
-  streaming::IncrementalPagerank warm(graph, opts.pr);
-  streaming::DeltaPagerank delta(graph, opts.pr);
+  // Only the selected refresh algorithm is built: each holds dense
+  // per-vertex vectors.
   const bool use_delta = opts.algorithm == StreamingAlgorithm::kDeltaPush;
+  std::optional<streaming::IncrementalPagerank> warm;
+  std::optional<streaming::DeltaPagerank> delta;
+  if (use_delta) {
+    delta.emplace(graph, opts.pr);
+  } else {
+    warm.emplace(graph, opts.pr);
+  }
 
   par::ForOptions for_opts{opts.partitioner, opts.grain, opts.pool};
   const par::ForOptions* kernel_par =
@@ -105,11 +113,11 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
       // phase covers init for the streaming model.
       PMPR_PHASE(obs::Phase::kIterate, "window.iterate", w);
       if (use_delta) {
-        if (!opts.incremental) delta.reset();
-        stats = delta.update(batches.inserted, batches.removed).pagerank;
+        if (!opts.incremental) delta->reset();
+        stats = delta->update(batches.inserted, batches.removed).pagerank;
       } else {
-        if (!opts.incremental) warm.reset();
-        stats = warm.update(kernel_par);
+        if (!opts.incremental) warm->reset();
+        stats = warm->update(kernel_par);
       }
     }
 
@@ -121,7 +129,7 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
     obs::count(obs::Counter::kWindowsProcessed);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
     PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
-    sink.consume_dense(w, use_delta ? delta.values() : warm.values());
+    sink.consume_dense(w, use_delta ? delta->values() : warm->values());
   }
   result.build_seconds = mutate_timer.seconds();
   result.compute_seconds = compute_timer.seconds();

@@ -6,7 +6,7 @@
 // encoding·(Σ_w |V_w| + 2·|E_w|) plus the intermediate PageRank vectors.
 // estimate_memory measures both terms for a built set; the postmortem
 // runner reports them as RunResult::representation_bytes and
-// peak_memory_estimate_bytes.
+// peak_memory_bytes.
 #pragma once
 
 #include <cstddef>

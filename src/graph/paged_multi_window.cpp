@@ -129,16 +129,10 @@ std::unique_ptr<PagedMultiWindowSet> PagedMultiWindowSet::build(
                  "out-of-core store " << set->store_path_ << " holds "
                                       << set->file_->bytes().size()
                                       << " B, expected " << offset);
-  // Hand the sampler a real-residency probe for this store so the trace
-  // charts mem.oocore_resident against mem.budget. One probe at a time —
-  // the most recently built store wins; the destructor unregisters.
-  obs::register_residency_probe(set.get());
   return set;
 }
 
 PagedMultiWindowSet::~PagedMultiWindowSet() {
-  // Stop the sampler from probing before the mappings go away.
-  obs::unregister_residency_probe(this);
   // Drop every mapping before unlinking the store.
   for (auto& slot : parts_) slot.graph.in_compressed.reset();
   file_.reset();
@@ -196,7 +190,6 @@ PagedMultiWindowSet::Lease PagedMultiWindowSet::acquire(std::size_t p) {
     slot.graph.in_compressed =
         std::make_shared<const io::CompressedTemporalCsr>(std::move(packed));
     slot.ever_mapped = true;
-    slot.charge.reset(obs::MemTag::kOocorePayload, slot.payload_bytes);
     resident_bytes_ += slot.payload_bytes;
     stats_.peak_resident_bytes =
         std::max(stats_.peak_resident_bytes, resident_bytes_);
@@ -247,7 +240,6 @@ void PagedMultiWindowSet::make_room(std::size_t need) {
     // immediately; the next acquire refaults from the store file.
     v.graph.in_compressed->advise(io::Advice::kDontNeed);
     v.graph.in_compressed.reset();
-    v.charge.release();
     resident_bytes_ -= v.payload_bytes;
     ++stats_.parts_evicted;
     stats_.bytes_evicted += v.payload_bytes;
@@ -278,17 +270,6 @@ std::size_t PagedMultiWindowSet::resident_bytes() const {
 PagingStats PagedMultiWindowSet::stats() const {
   LockGuard lock(mu_);
   return stats_;
-}
-
-std::uint64_t PagedMultiWindowSet::probe_resident_bytes() const {
-  // Lock-free monitor read: file_ is set once in build() before the probe
-  // registers and never reassigned; the scan itself touches no guarded
-  // state.
-  return file_ != nullptr ? file_->resident_bytes() : 0;
-}
-
-std::uint64_t PagedMultiWindowSet::probe_budget_bytes() const {
-  return budget_bytes_;
 }
 
 }  // namespace pmpr

@@ -35,7 +35,6 @@
 #include "graph/window.hpp"
 #include "io/compressed_csr.hpp"
 #include "io/mmap_file.hpp"
-#include "obs/memory.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace pmpr {
@@ -56,7 +55,7 @@ struct PagingStats {
   std::size_t chunks_total = 0;    ///< Σ chunks across all parts.
 };
 
-class PagedMultiWindowSet : public obs::ResidencyProbe {
+class PagedMultiWindowSet {
  public:
   struct Options {
     std::size_t num_parts = 1;
@@ -82,7 +81,7 @@ class PagedMultiWindowSet : public obs::ResidencyProbe {
 
   PagedMultiWindowSet(const PagedMultiWindowSet&) = delete;
   PagedMultiWindowSet& operator=(const PagedMultiWindowSet&) = delete;
-  ~PagedMultiWindowSet() override;
+  ~PagedMultiWindowSet();
 
   /// RAII pin: the part stays resident (never evicted) while any Lease on
   /// it lives. Move-only; released on destruction.
@@ -133,13 +132,6 @@ class PagedMultiWindowSet : public obs::ResidencyProbe {
   /// Snapshot of the paging counters. Thread-safe.
   [[nodiscard]] PagingStats stats() const;
 
-  /// obs::ResidencyProbe monitor reads, feeding the sampler's
-  /// mem.oocore_resident / mem.budget trace tracks. Lock-free: file_ and
-  /// budget_bytes_ are set once in build() before the probe registers and
-  /// never change afterwards; the scan itself is a pure mincore read.
-  [[nodiscard]] std::uint64_t probe_resident_bytes() const override;
-  [[nodiscard]] std::uint64_t probe_budget_bytes() const override;
-
  private:
   PagedMultiWindowSet() = default;
 
@@ -151,8 +143,6 @@ class PagedMultiWindowSet : public obs::ResidencyProbe {
     std::size_t pin_count = 0;
     std::uint64_t last_use = 0;      ///< LRU clock value of the last pin.
     bool ever_mapped = false;        ///< Distinguishes refaults from faults.
-    obs::MemCharge charge;  ///< payload_bytes under kOocorePayload while
-                            ///< mapped (reset on map, released on evict).
   };
 
   void release_pin(std::size_t p);

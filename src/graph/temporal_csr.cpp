@@ -77,7 +77,6 @@ TemporalCsr TemporalCsr::build(std::span<const TemporalEdge> events,
           std::copy(tmp_time.begin(), tmp_time.end(), g.time_.begin() + lo);
         }
       });
-  g.charge_.reset(obs::MemTag::kGraph, g.memory_bytes());
   return g;
 }
 
@@ -135,7 +134,6 @@ TemporalCsr TemporalCsr::adopt(std::vector<std::size_t> row_ptr,
   g.row_ptr_ = std::move(row_ptr);
   g.col_ = std::move(col);
   g.time_ = std::move(time);
-  g.charge_.reset(obs::MemTag::kGraph, g.memory_bytes());
   return g;
 }
 

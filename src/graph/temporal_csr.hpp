@@ -17,7 +17,6 @@
 
 #include "graph/types.hpp"
 #include "io/compressed_csr.hpp"
-#include "obs/memory.hpp"
 
 namespace pmpr {
 
@@ -139,7 +138,6 @@ class TemporalCsr {
   std::vector<std::size_t> row_ptr_;  // n + 1
   std::vector<VertexId> col_;         // |Events| entries (rowA order)
   std::vector<Timestamp> time_;       // parallel to col_
-  obs::MemCharge charge_;             // memory_bytes() under MemTag::kGraph
 };
 
 /// Re-encodes the CSR with the chunked delta+varint codec

@@ -182,7 +182,6 @@ void CompressedTemporalCsr::decode_chunk(std::size_t c,
                           << m.num_entries);
   PMPR_CHECK_MSG(p == end,
                  "chunk " << c << " payload has trailing bytes");
-  scratch.recharge();
 }
 
 void CompressedTemporalCsr::decode_all(DecodeScratch& scratch) const {
@@ -202,7 +201,6 @@ void CompressedTemporalCsr::decode_all(DecodeScratch& scratch) const {
       scratch.row_ptr[m.first_row + i + 1] = m.first_entry + tmp.row_ptr[i + 1];
     }
   }
-  scratch.recharge();
 }
 
 void CompressedTemporalCsr::serialize_to(std::vector<std::uint8_t>& out) const {

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "io/mmap_file.hpp"
-#include "obs/memory.hpp"
 
 namespace pmpr::io {
 
@@ -70,20 +69,6 @@ struct DecodeScratch {
   std::vector<ColId> cols;
   std::vector<TimeValue> times;
   std::vector<std::size_t> row_ptr;
-  /// Tagged accounting of the buffers' capacity (MemTag::kDecodeScratch),
-  /// refreshed by decode_chunk/decode_all via recharge().
-  obs::MemCharge charge;
-
-  /// Re-charges the current capacity. Cheap when nothing grew (one
-  /// comparison) — callable per decode without breaking cost discipline.
-  void recharge() {
-    const std::size_t bytes = cols.capacity() * sizeof(ColId) +
-                              times.capacity() * sizeof(TimeValue) +
-                              row_ptr.capacity() * sizeof(std::size_t);
-    if (bytes != charge.bytes()) {
-      charge.reset(obs::MemTag::kDecodeScratch, bytes);
-    }
-  }
 };
 
 class CompressedTemporalCsr {

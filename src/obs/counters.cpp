@@ -7,14 +7,14 @@ namespace pmpr::obs {
 namespace {
 
 constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
-    "tasks_spawned",     "tasks_executed",   "steals_attempted",
-    "steals_succeeded",  "parks",            "unparks",
-    "edges_traversed",   "dangling_scanned", "lanes_converged",
-    "iterations",        "vertices_reused",  "vertices_reseeded",
-    "windows_processed", "sampler_ticks",    "histogram_records",
-    "simd_sweep_scalar", "simd_sweep_avx2",  "simd_sweep_avx512",
-    "parts_evicted",     "part_refaults",    "chunks_decoded",
-    "chunks_pruned",     "bytes_decoded",    "window_output_bytes",
+    "tasks_spawned",     "tasks_executed",    "steals_attempted",
+    "steals_succeeded",  "parks",             "unparks",
+    "edges_traversed",   "dangling_scanned",  "lanes_converged",
+    "iterations",        "vertices_reused",   "vertices_reseeded",
+    "windows_processed", "histogram_records", "simd_sweep_scalar",
+    "simd_sweep_avx2",   "simd_sweep_avx512", "parts_evicted",
+    "part_refaults",     "chunks_decoded",    "chunks_pruned",
+    "bytes_decoded",     "window_output_bytes",
 };
 
 /// One padded block per thread slot. kNumCounters * 8 bytes rounded up to

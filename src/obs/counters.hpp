@@ -43,8 +43,7 @@ enum class Counter : std::size_t {
   kVerticesReseeded,   ///< Vertices seeded uniformly (full or fresh part).
   // Runners (exec/).
   kWindowsProcessed,   ///< Windows handed to the result sink.
-  // Profiling layer (obs/).
-  kSamplerTicks,       ///< Scheduler snapshots taken by obs::Sampler.
+  // Telemetry layer (obs/).
   kHistogramRecords,   ///< Durations recorded into the latency histograms.
   // SIMD dispatch (pagerank/simd_*): which compiled-sweep ISA ran. One
   // count per sweep invocation (i.e. per power iteration of a compiled
@@ -62,7 +61,7 @@ enum class Counter : std::size_t {
   kBytesDecoded,       ///< Encoded bytes expanded by chunk decodes.
   kWindowOutputBytes,  ///< Rank bytes handed to sinks (read-amp denominator).
 };
-inline constexpr std::size_t kNumCounters = 24;
+inline constexpr std::size_t kNumCounters = 23;
 
 /// Human-readable snake_case name (stable; used as JSON keys).
 [[nodiscard]] std::string_view to_string(Counter c);

@@ -9,7 +9,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/flightrec.hpp"
-#include "obs/memory.hpp"
 #include "obs/sigsafe.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -89,27 +88,6 @@ void write_report_fd(int fd, const DiagnosticContext& ctx) {
     sigsafe_put_u64(fd, counters.values[i]);
   }
   sigsafe_puts(fd, "\n  }");
-
-  // Memory tallies: memory_snapshot() is also lock-free (the mincore /
-  // /proc readers are NOT — deliberately absent here).
-  const MemorySnapshot mem = memory_snapshot();
-  sigsafe_puts(fd, ",\n  \"memory\": {\n    \"total_live_bytes\": ");
-  sigsafe_put_i64(fd, mem.total_live_bytes);
-  sigsafe_puts(fd, ",\n    \"total_peak_bytes\": ");
-  sigsafe_put_u64(fd, mem.total_peak_bytes);
-  sigsafe_puts(fd, ",\n    \"tags\": {");
-  for (std::size_t i = 0; i < kNumMemTags; ++i) {
-    const std::string_view name = to_string(static_cast<MemTag>(i));
-    if (i != 0) sigsafe_puts(fd, ",");
-    sigsafe_puts(fd, "\n      \"");
-    sigsafe_write(fd, name.data(), name.size());
-    sigsafe_puts(fd, "\": {\"live_bytes\": ");
-    sigsafe_put_i64(fd, mem.tags[i].live_bytes);
-    sigsafe_puts(fd, ", \"peak_bytes\": ");
-    sigsafe_put_u64(fd, mem.tags[i].peak_bytes);
-    sigsafe_puts(fd, "}");
-  }
-  sigsafe_puts(fd, "\n    }\n  }");
 
   sigsafe_puts(fd, ",\n  \"last_error\": \"");
   fr_emit_last_error_json(fd);

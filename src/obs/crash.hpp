@@ -1,9 +1,9 @@
 // Runtime telemetry: async-signal-safe crash postmortem (observability
-// pillar 7, death half).
+// pillar 6, death half).
 //
 // install_crash_handler() registers one handler for SIGSEGV / SIGBUS /
 // SIGABRT / SIGFPE that writes a `pmpr-crash-v1` JSON report — signal
-// identity, counter snapshot, memory tallies, per-thread identification,
+// identity, counter snapshot, per-thread identification,
 // heartbeat table, and the flight recorder's retained events — to
 // `<dump_dir>/pmpr-crash-<pid>.json`, then restores the default action
 // and re-raises, so the process still dies with the real signal (exit
@@ -13,7 +13,7 @@
 // `signal-unsafe-in-handler` over PMPR_ASYNC_SIGNAL_SAFE_BEGIN/END
 // regions): the handler allocates nothing, locks nothing, and formats
 // through obs/sigsafe.hpp onto a pre-opened fd. Everything it reads —
-// the counter/memory tallies, the flight recorder rings, the heartbeat
+// the counter tallies, the flight recorder rings, the heartbeat
 // blocks, the thread labels — is lock-free atomic state: slot registries
 // are published atomic pointers (a null one reads as empty) and the
 // labels are static storage. The report path and the trace epoch are

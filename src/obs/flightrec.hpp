@@ -1,7 +1,7 @@
-// Runtime telemetry: the flight recorder (observability pillar 7 —
+// Runtime telemetry: the flight recorder (observability pillar 6 —
 // failure-time diagnostics).
 //
-// Pillars 1–6 explain runs that finish. This one explains runs that
+// The other pillars explain runs that finish. This one explains runs that
 // don't: every thread owns a cache-line-padded fixed-capacity ring of
 // recent structured events (runner span begin/end with window ids,
 // scheduler park/unpark, oocore evict/refault, last-error breadcrumbs,
@@ -129,10 +129,9 @@ void fr_record_error(const char* what);
 
 /// Consumes the retained events: each event is returned by exactly one
 /// drain call, even under concurrent drains (serialized on an internal
-/// mutex — this is the "trace exporter shutdown" contract the sampler
-/// tests exercise). Events recorded after a drain started may land in
-/// either that drain or the next, and so do an event its writer is still
-/// filling in and the later events of that thread's ring.
+/// mutex). Events recorded after a drain started may land in either that
+/// drain or the next, and so do an event its writer is still filling in
+/// and the later events of that thread's ring.
 [[nodiscard]] std::vector<FlightEvent> drain_flight_recorder();
 
 /// Drops every retained event and zeroes the lifetime totals. Test-only

@@ -37,10 +37,6 @@ struct Registry {
   /// Owning list; buffers are never removed, so thread_local pointers into
   /// it stay valid for the thread's lifetime.
   std::vector<std::unique_ptr<ThreadBuf>> bufs PMPR_GUARDED_BY(mu);
-  /// Counter-track samples ("ph":"C"). One flat list under the registry
-  /// lock: the producer is the (single) sampler thread, so contention with
-  /// span recording is limited to first-use thread registration.
-  std::vector<CounterSample> counter_samples PMPR_GUARDED_BY(mu);
 };
 
 Registry& registry() {
@@ -91,28 +87,6 @@ void record_span(const char* name, std::int64_t start_ns,
 
 }  // namespace detail
 
-void record_counter_sample(const char* name, std::int64_t t_ns,
-                           double value) {
-  if (!tracing_enabled()) return;
-  Registry& r = registry();
-  LockGuard lock(r.mu);
-  r.counter_samples.push_back(CounterSample{name, t_ns, value});
-}
-
-std::vector<CounterSample> collect_counter_samples() {
-  Registry& r = registry();
-  std::vector<CounterSample> samples;
-  {
-    LockGuard lock(r.mu);
-    samples = r.counter_samples;
-  }
-  std::sort(samples.begin(), samples.end(),
-            [](const CounterSample& a, const CounterSample& b) {
-              return a.t_ns != b.t_ns ? a.t_ns < b.t_ns : a.name < b.name;
-            });
-  return samples;
-}
-
 bool set_tracing_enabled(bool enabled) {
   if (enabled) {
     registry();  // Pin the epoch before the first span can start.
@@ -128,7 +102,6 @@ void clear_trace() {
     LockGuard buf_lock(buf->mu);
     buf->records.clear();
   }
-  r.counter_samples.clear();
 }
 
 std::int64_t trace_now_ns() {
@@ -183,7 +156,6 @@ std::string micros(std::int64_t ns) {
 
 void write_chrome_trace(std::ostream& out) {
   const std::vector<TraceEvent> events = collect_trace();
-  const std::vector<CounterSample> samples = collect_counter_samples();
   out << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
   bool first = true;
   const auto sep = [&]() -> const char* {
@@ -193,7 +165,7 @@ void write_chrome_trace(std::ostream& out) {
   };
   // Perfetto track labels ("ph":"M" metadata). Only emitted alongside real
   // events — an empty trace stays a bare valid skeleton.
-  if (!events.empty() || !samples.empty()) {
+  if (!events.empty()) {
     out << sep()
         << "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
            "\"args\": {\"name\": \"pmpr\"}}";
@@ -213,19 +185,6 @@ void write_chrome_trace(std::ostream& out) {
         << "\", \"cat\": \"pmpr\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
         << e.tid << ", \"ts\": " << micros(e.start_ns)
         << ", \"dur\": " << micros(e.end_ns - e.start_ns) << "}";
-  }
-  for (const CounterSample& s : samples) {
-    // Counter event: Perfetto draws one area-chart track per name, fed by
-    // the single "value" series in args.
-    std::ostringstream val;
-    val.setf(std::ios::fixed);
-    val.precision(3);
-    val << s.value;
-    out << sep() << "    {\"name\": \"" << detail::escape_json(s.name)
-        << "\", \"cat\": \"pmpr\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, "
-           "\"ts\": "
-        << micros(s.t_ns) << ", \"args\": {\"value\": " << val.str()
-        << "}}";
   }
   out << "\n  ]\n}\n";
 }

@@ -70,30 +70,14 @@ struct TraceEvent {
 /// the result is then a consistent prefix per thread.
 [[nodiscard]] std::vector<TraceEvent> collect_trace();
 
-/// One sampled counter-track value, exported as a Chrome "ph":"C" counter
-/// event (Perfetto renders each named track as a stacked area chart under
-/// the process). Produced by obs::Sampler; `name` must be a string literal.
-struct CounterSample {
-  std::string name;
-  std::int64_t t_ns = 0;
-  double value = 0.0;
-};
-
-/// Appends one counter-track sample. No-op while tracing is disabled (same
-/// gate as spans). Safe from any thread.
-void record_counter_sample(const char* name, std::int64_t t_ns, double value);
-
-/// Copies out every recorded counter sample, sorted by (t, name).
-[[nodiscard]] std::vector<CounterSample> collect_counter_samples();
-
 /// Number of spans currently buffered.
 [[nodiscard]] std::size_t trace_event_count();
 
 /// Writes the Chrome trace-event JSON: an object with a "traceEvents"
-/// array of "ph":"X" complete events (ts/dur in microseconds), "ph":"C"
-/// counter events for sampled scheduler gauges, and — whenever any event
-/// exists — "ph":"M" process_name/thread_name metadata (one per named
-/// thread slot, see set_thread_name) so Perfetto labels the tracks.
+/// array of "ph":"X" complete events (ts/dur in microseconds) and —
+/// whenever any event exists — "ph":"M" process_name/thread_name metadata
+/// (one per named thread slot, see set_thread_name) so Perfetto labels the
+/// tracks.
 void write_chrome_trace(std::ostream& out);
 
 /// File variant; returns false on IO failure.

@@ -1,4 +1,4 @@
-// Runtime telemetry: heartbeats + stall watchdog (observability pillar 7,
+// Runtime telemetry: heartbeats + stall watchdog (observability pillar 6,
 // hang half — the flight recorder covers crashes, this covers the run
 // that never comes back).
 //
@@ -12,17 +12,16 @@
 //      beats at both edges. heartbeat() is one relaxed load + branch when
 //      the gate is off.
 //
-//   2. The Watchdog monitor thread (structured like obs::Sampler:
-//      interruptible condvar pacing, swap-join stop). Each tick it scans
-//      the *active* slots (phase != idle) for the stalest beat; when that
-//      age exceeds the stall threshold and no slot has beaten since the
-//      last fire, it records the stall (flight recorder + global stats),
-//      writes a diagnostic dump naming the stalled phase (reusing the
-//      crash-report writer on the safe path — obs/crash.cpp), logs a
-//      warning, and optionally aborts the process. Detection latency is
-//      at most threshold + check interval (interval defaults to
-//      threshold/4, so < 1.25x threshold, well under the 2x budget the
-//      smoke gate asserts).
+//   2. The Watchdog monitor thread (interruptible condvar pacing,
+//      swap-join stop). Each tick it scans the *active* slots (phase !=
+//      idle) for the stalest beat; when that age exceeds the stall
+//      threshold and no slot has beaten since the last fire, it records
+//      the stall (flight recorder + global stats), writes a diagnostic
+//      dump naming the stalled phase (reusing the crash-report writer on
+//      the safe path — obs/crash.cpp), logs a warning, and optionally
+//      aborts the process. Detection latency is at most threshold + check
+//      interval (interval defaults to threshold/4, so < 1.25x threshold,
+//      well under the 2x budget the smoke gate asserts).
 //
 // False-positive tuning (see DESIGN.md §7): the threshold bounds *phase
 // silence*, not phase duration — phases beat at both edges, the pool
@@ -135,8 +134,8 @@ struct WatchdogOptions {
 
 /// The stall monitor. Construction does not arm it; start() enables
 /// heartbeats and spawns the monitor thread, stop() joins it and restores
-/// the previous heartbeat gate. Same lifetime discipline as Sampler:
-/// prompt interruptible shutdown, concurrent/repeated stop() is safe.
+/// the previous heartbeat gate. Shutdown is prompt (the monitor waits on
+/// an interruptible condvar) and concurrent/repeated stop() is safe.
 class Watchdog {
  public:
   explicit Watchdog(WatchdogOptions opts = {});
@@ -184,7 +183,7 @@ class Watchdog {
   std::atomic<std::uint64_t> fires_{0};
   /// Total beat tally at the last fire: a stall episode refires only
   /// after some slot made progress. Monitor-thread state (check_once
-  /// callers must not race a live loop, like Sampler::sample_once).
+  /// callers must not race a live loop).
   std::uint64_t beats_at_last_fire_ = 0;
   bool fired_since_progress_ = false;
 };

@@ -277,7 +277,6 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
       out.dangling_mask.push_back(dangling);
     }
   }
-  out.charge.reset(obs::MemTag::kCompiledKernel, out.memory_bytes());
 }
 
 void compile_window(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
@@ -317,7 +316,6 @@ void compile_window(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
       out.dangling_rows.push_back(static_cast<VertexId>(v));
     }
   }
-  out.charge.reset(obs::MemTag::kCompiledKernel, out.memory_bytes());
 }
 
 }  // namespace pmpr

@@ -34,7 +34,6 @@
 
 #include "graph/multi_window.hpp"
 #include "graph/window.hpp"
-#include "obs/memory.hpp"
 #include "pagerank/window_state.hpp"
 
 namespace pmpr {
@@ -69,21 +68,6 @@ struct CompiledBatchCsr {
   [[nodiscard]] std::span<const std::uint64_t> row_mask(VertexId v) const {
     return {mask.data() + row_ptr[v], mask.data() + row_ptr[v + 1]};
   }
-
-  /// Bytes held by the compiled form (reported through memory_budget so
-  /// the multi-window partitioner accounts for it).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return row_ptr.size() * sizeof(std::size_t) +
-           nbr.size() * sizeof(VertexId) +
-           mask.size() * sizeof(std::uint64_t) +
-           active_rows.size() * sizeof(VertexId) +
-           dangling_rows.size() * sizeof(VertexId) +
-           dangling_mask.size() * sizeof(std::uint64_t);
-  }
-
-  /// memory_bytes() under MemTag::kCompiledKernel, refreshed by
-  /// compile_spmm_batch.
-  obs::MemCharge charge;
 };
 
 /// Builds `state` and `out` together: one run-compression pass scatters
@@ -123,16 +107,6 @@ struct CompiledWindowCsr {
   [[nodiscard]] std::span<const VertexId> row_nbr(VertexId v) const {
     return {nbr.data() + row_ptr[v], nbr.data() + row_ptr[v + 1]};
   }
-
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return row_ptr.size() * sizeof(std::size_t) +
-           (nbr.size() + active_rows.size() + dangling_rows.size()) *
-               sizeof(VertexId);
-  }
-
-  /// memory_bytes() under MemTag::kCompiledKernel, refreshed by
-  /// compile_window.
-  obs::MemCharge charge;
 };
 
 /// Builds `state` and `out` for window [ts, te] together (state identical

@@ -76,19 +76,6 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-std::size_t ThreadPool::approx_queued(std::size_t index) const {
-  return index < deques_.size() ? deques_[index]->approx_depth() : 0;
-}
-
-std::size_t ThreadPool::approx_total_queued() const {
-  std::size_t total = 0;
-  for (const auto& dq : deques_) total += dq->approx_depth();
-  // The injection queue is mutex-guarded; sampling cadence is milliseconds,
-  // so taking the (usually uncontended) lock here is fine.
-  LockGuard lock(inject_mutex_);
-  return total + injected_.size();
-}
-
 void ThreadPool::notify() {
   // Publish the new work, then wake a sleeper only if one exists. Both the
   // epoch bump and the sleeper-count load are seq_cst, as are the worker's

@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/scheduler_probe.hpp"
 #include "par/ws_deque.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -91,15 +90,12 @@ class WaitGroup {
   std::exception_ptr exception_;
 };
 
-/// Implements obs::SchedulerProbe so the sampling profiler can snapshot the
-/// pool without obs/ depending back on par/ (the pool depends on obs for
-/// counters and trace spans).
-class ThreadPool : public obs::SchedulerProbe {
+class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>=1). The calling thread is
   /// not a worker but helps while waiting.
   explicit ThreadPool(std::size_t num_threads);
-  ~ThreadPool() override;
+  ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -121,33 +117,6 @@ class ThreadPool : public obs::SchedulerProbe {
   /// Rethrows the first exception any task of the group raised.
   void wait(WaitGroup& wg);
 
-  // Monitoring introspection (the obs::SchedulerProbe contract, consumed
-  // by obs::Sampler). All are safe to call from any thread while the pool
-  // runs; values are advisory gauges — in-flight pushes/pops/steals and
-  // parks make them racy by contract.
-
-  /// Probe alias for num_threads().
-  [[nodiscard]] std::size_t num_workers() const override {
-    return num_threads();
-  }
-
-  /// Approximate depth of worker `index`'s deque (0 if out of range).
-  [[nodiscard]] std::size_t approx_queued(std::size_t index) const override;
-
-  /// Approximate total queued tasks: every worker deque plus the
-  /// injection queue.
-  [[nodiscard]] std::size_t approx_total_queued() const override
-      PMPR_EXCLUDES(inject_mutex_);
-
-  /// Workers currently parked (or committing to park) on the sleep
-  /// condvar.
-  [[nodiscard]] std::size_t parked_workers() const override {
-    // relaxed: an advisory gauge for the sampler; the park protocol itself
-    // uses seq_cst on this counter (see notify()), a monitor read needs no
-    // ordering with it.
-    return num_sleepers_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Task {
     std::function<void()> fn;
@@ -164,9 +133,7 @@ class ThreadPool : public obs::SchedulerProbe {
   std::vector<std::unique_ptr<WsDeque<Task>>> deques_;
   std::vector<std::thread> workers_;
 
-  /// mutable: const monitoring reads (approx_total_queued) must be able to
-  /// take the lock.
-  mutable Mutex inject_mutex_;
+  Mutex inject_mutex_;
   std::deque<Task*> injected_ PMPR_GUARDED_BY(inject_mutex_);
 
   Mutex sleep_mutex_;

@@ -155,8 +155,7 @@ class WsDeque {
     return task;
   }
 
-  /// Approximate depth, safe to call from any thread (the sampling
-  /// profiler reads it from outside the pool); racy by nature.
+  /// Approximate depth, safe to call from any thread; racy by nature.
   [[nodiscard]] std::size_t approx_depth() const {
     // relaxed (both): the result is advisory by contract — a monitor
     // gauge, possibly off by in-flight pushes/pops/steals — and no slot

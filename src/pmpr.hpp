@@ -37,7 +37,6 @@
 #include "obs/histogram.hpp"           // IWYU pragma: export
 #include "obs/memory.hpp"              // IWYU pragma: export
 #include "obs/phase.hpp"               // IWYU pragma: export
-#include "obs/sampler.hpp"             // IWYU pragma: export
 #include "obs/slots.hpp"               // IWYU pragma: export
 #include "obs/trace.hpp"               // IWYU pragma: export
 #include "obs/watchdog.hpp"            // IWYU pragma: export

@@ -206,9 +206,8 @@ TEST(PostmortemRunner, LargeVectorLengthClamped) {
   // The memory estimate counts the lanes the batches ran with.
   cfg.vector_length = kMaxSpmmLanes;
   NullSink capped;
-  EXPECT_EQ(run_postmortem(events, spec, capped, cfg)
-                .peak_memory_estimate_bytes,
-            r.peak_memory_estimate_bytes);
+  EXPECT_EQ(run_postmortem(events, spec, capped, cfg).peak_memory_bytes,
+            r.peak_memory_bytes);
 }
 
 TEST(PostmortemRunner, ChecksumSinkMatchesStoreAll) {

@@ -1,6 +1,6 @@
 // Fixture: must trip [raw-clock] (sleeping-primitive half) and nothing
 // else. Polling a flag with a sleep loop outside the sanctioned spots
-// (src/util/ CondVar wrapper, src/obs/ sampler pacing, the pool's park
+// (src/util/ CondVar wrapper, src/obs/ watchdog pacing, the pool's park
 // backstop) hides latency from the profiler and burns a core; waits must
 // be event-driven.
 #include <chrono>

@@ -18,6 +18,15 @@
 namespace pmpr {
 namespace {
 
+/// A load through null that reaches the MMU as SIGSEGV. Exempt from UBSan,
+/// which would otherwise report the load and exit before any signal. The
+/// pointer is volatile too: GCC at -O1 drops a load through a null it can
+/// see, and the helper would return.
+__attribute__((no_sanitize_undefined)) void fault_on_null_load() {
+  volatile int* volatile null_ptr = nullptr;
+  (void)*null_ptr;
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream out;
@@ -45,8 +54,8 @@ TEST(CrashHandler, WriteDiagnosticReportCarriesFullSchema) {
   // The shared writer always emits every diagnostics surface, so hang
   // dumps and crash dumps stay one schema.
   for (const char* key :
-       {"\"counters\"", "\"memory\"", "\"threads\"", "\"heartbeats\"",
-        "\"events\"", "\"last_error\"", "\"pid\"", "\"t_ns\""}) {
+       {"\"counters\"", "\"threads\"", "\"heartbeats\"", "\"events\"",
+        "\"last_error\"", "\"pid\"", "\"t_ns\""}) {
     EXPECT_NE(report.find(key), std::string::npos) << key;
   }
 }
@@ -92,8 +101,7 @@ TEST(CrashHandlerDeathTest, SegvLeavesReportAndReRaises) {
         if (!obs::install_crash_handler(opts)) _exit(3);
         obs::set_flight_recorder_enabled(true);
         obs::fr_record(obs::FrEvent::kMark, "crash.test.breadcrumb", 11);
-        volatile int* null_ptr = nullptr;
-        (void)*null_ptr;
+        fault_on_null_load();
         _exit(4);  // unreachable: the re-raised SIGSEGV kills the child
       },
       ::testing::KilledBySignal(SIGSEGV), "");

@@ -2,228 +2,20 @@
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdint>
-#include <set>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
-
 namespace pmpr {
 namespace {
 
-/// Restores the accounting gate on scope exit so one test cannot leak
-/// telemetry state into its siblings (the binary shares the registry), and
-/// zeroes the tallies/watermarks so live/peak assertions see only this
-/// test's charges. Reset is safe here: no sibling test holds a MemCharge
-/// across test boundaries.
-struct MemoryGuard {
-  const bool prev = obs::set_memory_accounting_enabled(false);
-  MemoryGuard() { obs::reset_memory_accounting(); }
-  ~MemoryGuard() {
-    obs::reset_memory_accounting();
-    obs::set_memory_accounting_enabled(prev);
-  }
-};
-
-TEST(Memory, DisabledRecordIsNoOp) {
-  MemoryGuard guard;
-  ASSERT_FALSE(obs::memory_accounting_enabled());
-  obs::record_alloc(obs::MemTag::kGraph, 1000);
-  obs::record_free(obs::MemTag::kGraph, 400);
-  const obs::MemorySnapshot snap = obs::memory_snapshot();
-  EXPECT_EQ(snap[obs::MemTag::kGraph].alloc_bytes, 0u);
-  EXPECT_EQ(snap[obs::MemTag::kGraph].free_bytes, 0u);
-  EXPECT_EQ(snap.total_live_bytes, 0);
-  EXPECT_EQ(snap.total_peak_bytes, 0u);
-}
-
-TEST(Memory, SetEnabledReturnsPrevious) {
-  MemoryGuard guard;
-  EXPECT_FALSE(obs::set_memory_accounting_enabled(true));
-  EXPECT_TRUE(obs::set_memory_accounting_enabled(false));
-}
-
-TEST(Memory, AccumulatesAndTracksLivePeak) {
-  MemoryGuard guard;
-  obs::set_memory_accounting_enabled(true);
-  obs::record_alloc(obs::MemTag::kGraph, 100);
-  obs::record_alloc(obs::MemTag::kGraph, 50);
-  obs::record_free(obs::MemTag::kGraph, 30);
-  obs::record_alloc(obs::MemTag::kDecodeScratch, 7);
-  const obs::MemorySnapshot snap = obs::memory_snapshot();
-  EXPECT_EQ(snap[obs::MemTag::kGraph].alloc_bytes, 150u);
-  EXPECT_EQ(snap[obs::MemTag::kGraph].free_bytes, 30u);
-  EXPECT_EQ(snap[obs::MemTag::kGraph].live_bytes, 120);
-  EXPECT_EQ(snap[obs::MemTag::kGraph].peak_bytes, 150u);
-  EXPECT_EQ(snap[obs::MemTag::kDecodeScratch].live_bytes, 7);
-  // The total watermark tracks the summed live bytes, which peaked at
-  // 150 + 7 = 157 only if the scratch alloc preceded the free — here it
-  // did not, so the peak is the graph's own 150 (the total dipped first).
-  EXPECT_EQ(snap.total_live_bytes, 127);
-  EXPECT_EQ(snap.total_peak_bytes, 150u);
-}
-
-TEST(Memory, MemChargeReleasesOnDestruction) {
-  MemoryGuard guard;
-  obs::set_memory_accounting_enabled(true);
-  {
-    obs::MemCharge charge(obs::MemTag::kOocorePayload, 64);
-    EXPECT_EQ(charge.bytes(), 64u);
-    EXPECT_EQ(obs::memory_snapshot().total_live_bytes, 64);
-  }
-  const obs::MemorySnapshot snap = obs::memory_snapshot();
-  EXPECT_EQ(snap.total_live_bytes, 0);
-  EXPECT_EQ(snap[obs::MemTag::kOocorePayload].alloc_bytes, 64u);
-  EXPECT_EQ(snap[obs::MemTag::kOocorePayload].free_bytes, 64u);
-  EXPECT_EQ(snap[obs::MemTag::kOocorePayload].peak_bytes, 64u);
-}
-
-TEST(Memory, MemChargeCopyMoveResetSemantics) {
-  MemoryGuard guard;
-  obs::set_memory_accounting_enabled(true);
-  obs::MemCharge a(obs::MemTag::kCompiledKernel, 100);
-  {
-    // Copy re-charges: both owners release independently.
-    obs::MemCharge b(a);  // NOLINT(performance-unnecessary-copy-initialization)
-    EXPECT_EQ(obs::memory_snapshot().total_live_bytes, 200);
-    // Move transfers: no double charge, no double release.
-    obs::MemCharge c(std::move(b));
-    EXPECT_EQ(c.bytes(), 100u);
-    EXPECT_EQ(obs::memory_snapshot().total_live_bytes, 200);
-  }
-  EXPECT_EQ(obs::memory_snapshot().total_live_bytes, 100);
-  // reset releases the old charge before taking the new one.
-  a.reset(obs::MemTag::kCompiledKernel, 40);
-  EXPECT_EQ(obs::memory_snapshot().total_live_bytes, 40);
-  // release is idempotent.
-  a.release();
-  a.release();
-  EXPECT_EQ(obs::memory_snapshot().total_live_bytes, 0);
-}
-
-TEST(Memory, MemChargeSymmetricAcrossGateFlips) {
-  MemoryGuard guard;
-  obs::set_memory_accounting_enabled(true);
-  obs::MemCharge charged(obs::MemTag::kOther, 100);
-  // Gate off mid-lifetime: the charge was real, so its release must land
-  // even though the gate is off (MemCharge bypasses the gate on release).
-  obs::set_memory_accounting_enabled(false);
-  obs::MemCharge uncharged(obs::MemTag::kOther, 999);
-  EXPECT_EQ(uncharged.bytes(), 0u);  // gate off at reset: nothing charged
-  charged.release();
-  uncharged.release();
-  obs::set_memory_accounting_enabled(true);
-  const obs::MemorySnapshot snap = obs::memory_snapshot();
-  EXPECT_EQ(snap.total_live_bytes, 0);
-  EXPECT_EQ(snap[obs::MemTag::kOther].alloc_bytes,
-            snap[obs::MemTag::kOther].free_bytes);
-}
-
-TEST(Memory, TaggedAllocChargesContainer) {
-  MemoryGuard guard;
-  obs::set_memory_accounting_enabled(true);
-  {
-    std::vector<std::uint64_t,
-                obs::TaggedAlloc<std::uint64_t, obs::MemTag::kObs>>
-        v;
-    v.resize(1000);
-    const obs::MemorySnapshot snap = obs::memory_snapshot();
-    EXPECT_GE(snap[obs::MemTag::kObs].live_bytes,
-              static_cast<std::int64_t>(1000 * sizeof(std::uint64_t)));
-  }
-  EXPECT_EQ(obs::memory_snapshot()[obs::MemTag::kObs].live_bytes, 0);
-}
-
-TEST(Memory, OverflowBlockLosesNoBytes) {
-  // Same slot discipline as counters: threads beyond the 256 owned blocks
-  // share one overflow block; adds there are contended, never dropped.
-  MemoryGuard guard;
-  obs::set_memory_accounting_enabled(true);
-  constexpr std::size_t kThreads = 300;  // > 256 owned slots
-  constexpr std::uint64_t kPerThread = 50;
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([] {
-        for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          obs::record_alloc(obs::MemTag::kOther, 2);
-          obs::record_free(obs::MemTag::kOther, 2);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  const obs::MemorySnapshot snap = obs::memory_snapshot();
-  EXPECT_EQ(snap[obs::MemTag::kOther].alloc_bytes,
-            2u * kPerThread * kThreads);
-  EXPECT_EQ(snap[obs::MemTag::kOther].free_bytes,
-            2u * kPerThread * kThreads);
-  EXPECT_EQ(snap[obs::MemTag::kOther].live_bytes, 0);
-  EXPECT_EQ(snap.total_live_bytes, 0);
-}
-
-TEST(Memory, NamesAreStableUniqueSnakeCase) {
-  std::set<std::string> seen;
-  for (std::size_t i = 0; i < obs::kNumMemTags; ++i) {
-    const auto tag = static_cast<obs::MemTag>(i);
-    const std::string name(obs::to_string(tag));
-    ASSERT_FALSE(name.empty()) << "tag " << i;
-    ASSERT_TRUE(name[0] >= 'a' && name[0] <= 'z') << name;
-    for (const char c : name) {
-      ASSERT_TRUE((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                  c == '_')
-          << name;
-    }
-    ASSERT_TRUE(seen.insert(name).second) << "duplicate name " << name;
-    // Trace tracks are the tag names under the fixed mem.tagged. prefix.
-    EXPECT_EQ(std::string(obs::trace_track_name(tag)), "mem.tagged." + name);
-  }
-  EXPECT_EQ(obs::to_string(obs::MemTag::kGraph), "graph");
-  EXPECT_EQ(obs::to_string(obs::MemTag::kOocorePayload), "oocore_payload");
-}
-
 TEST(Memory, RssReadersReportThisProcess) {
 #if defined(__linux__)
-  // /proc/self/statm and getrusage both exist on Linux and this process
-  // certainly has pages resident.
-  EXPECT_GT(obs::current_rss_bytes(), 0u);
-  EXPECT_GT(obs::peak_rss_bytes(), 0u);
-  EXPECT_GE(obs::peak_rss_bytes(), obs::current_rss_bytes() / 2);
+  // getrusage exists on Linux and this process certainly has pages
+  // resident; the lifetime peak never falls.
+  const std::uint64_t first = obs::peak_rss_bytes();
+  EXPECT_GT(first, 0u);
+  EXPECT_GE(obs::peak_rss_bytes(), first);
 #else
-  // Elsewhere the readers may legitimately return 0 — just call them.
-  (void)obs::current_rss_bytes();
+  // Elsewhere the reader may legitimately return 0 — just call it.
   (void)obs::peak_rss_bytes();
 #endif
-}
-
-/// Fixed-value probe for the registration plumbing.
-class FakeProbe : public obs::ResidencyProbe {
- public:
-  [[nodiscard]] std::uint64_t probe_resident_bytes() const override {
-    return 12345;
-  }
-  [[nodiscard]] std::uint64_t probe_budget_bytes() const override {
-    return 67890;
-  }
-};
-
-TEST(Memory, ResidencyProbeRegistration) {
-  std::uint64_t resident = 0;
-  std::uint64_t budget = 0;
-  FakeProbe probe;
-  obs::register_residency_probe(&probe);
-  ASSERT_TRUE(obs::probed_residency(&resident, &budget));
-  EXPECT_EQ(resident, 12345u);
-  EXPECT_EQ(budget, 67890u);
-  // Unregistering someone else's pointer must not clear the registration.
-  FakeProbe other;
-  obs::unregister_residency_probe(&other);
-  EXPECT_TRUE(obs::probed_residency(&resident, &budget));
-  obs::unregister_residency_probe(&probe);
-  EXPECT_FALSE(obs::probed_residency(&resident, &budget));
 }
 
 }  // namespace

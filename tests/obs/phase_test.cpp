@@ -25,7 +25,6 @@
 #include "exec/streaming_runner.hpp"
 #include "obs/counters.hpp"
 #include "obs/crash.hpp"
-#include "obs/memory.hpp"
 #include "obs/slots.hpp"
 #include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
@@ -293,7 +292,6 @@ TEST(ThreadSlotsDeathTest, SnapshotsRacingTheFirstRecordAreSafe) {
   EXPECT_EXIT(
       {
         obs::set_counters_enabled(true);
-        obs::set_memory_accounting_enabled(true);
         obs::set_flight_recorder_enabled(true);
         obs::set_heartbeats_enabled(true);
         std::FILE* sink = std::fopen("/dev/null", "w");
@@ -305,7 +303,6 @@ TEST(ThreadSlotsDeathTest, SnapshotsRacingTheFirstRecordAreSafe) {
           reading.store(true);
           while (!done.load()) {
             (void)obs::counters_snapshot();
-            (void)obs::memory_snapshot();
             (void)obs::flight_recorder_stats();
             (void)obs::heartbeat_table();
             (void)dog.check_once();
@@ -318,7 +315,6 @@ TEST(ThreadSlotsDeathTest, SnapshotsRacingTheFirstRecordAreSafe) {
         std::thread writer([] {
           obs::set_thread_name("race.writer");  // as pool workers do
           obs::count(obs::Counter::kTasksSpawned);
-          obs::record_alloc(obs::MemTag::kOther, 64);
           obs::fr_record(obs::FrEvent::kMark, "race.mark");
           obs::heartbeat("race.beat");
           obs::heartbeat_idle();

@@ -3,7 +3,6 @@
 // output bit-for-bit identical to a run with telemetry off.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -12,8 +11,6 @@
 #include "obs/counters.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
-#include "obs/memory.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "par/thread_pool.hpp"
@@ -22,13 +19,12 @@
 namespace pmpr {
 namespace {
 
-/// All seven telemetry gates, restored on scope exit.
+/// All six telemetry gates, restored on scope exit.
 struct AllTelemetry {
   const bool counters = obs::set_counters_enabled(false);
   const bool metrics = obs::set_metrics_enabled(false);
   const bool tracing = obs::set_tracing_enabled(false);
   const bool histograms = obs::set_histograms_enabled(false);
-  const bool memory = obs::set_memory_accounting_enabled(false);
   const bool flightrec = obs::set_flight_recorder_enabled(false);
   const bool heartbeats = obs::set_heartbeats_enabled(false);
   ~AllTelemetry() {
@@ -41,7 +37,6 @@ struct AllTelemetry {
     obs::set_metrics_enabled(metrics);
     obs::set_tracing_enabled(tracing);
     obs::set_histograms_enabled(histograms);
-    obs::set_memory_accounting_enabled(memory);
     obs::set_flight_recorder_enabled(flightrec);
     obs::set_heartbeats_enabled(heartbeats);
   }
@@ -50,7 +45,6 @@ struct AllTelemetry {
     obs::set_metrics_enabled(true);
     obs::set_tracing_enabled(true);
     obs::set_histograms_enabled(true);
-    obs::set_memory_accounting_enabled(true);
     obs::set_flight_recorder_enabled(true);
     obs::set_heartbeats_enabled(true);
   }
@@ -96,15 +90,8 @@ TEST_P(TelemetryDifferential, OutputBitIdenticalWithTelemetryOn) {
     for (const obs::HeartbeatView& v : obs::heartbeat_table()) sum += v.beats;
     return sum;
   }();
-  // A live sampler during the instrumented run: its snapshot reads must
-  // not perturb the scheduler or the kernels either.
-  obs::SamplerOptions sampler_opts;
-  sampler_opts.interval = std::chrono::milliseconds(1);
-  obs::Sampler sampler(pool, sampler_opts);
-  sampler.start();
   RunResult instrumented;
   const auto traced = run_serial(GetParam(), pool, &instrumented);
-  sampler.stop();
   obs::set_tracing_enabled(false);
   obs::clear_trace();
 
@@ -131,16 +118,6 @@ TEST_P(TelemetryDifferential, OutputBitIdenticalWithTelemetryOn) {
   EXPECT_GE(iterate.max_ns, iterate.percentile_ns(0.99));
   EXPECT_GT(instrumented.histograms[obs::Phase::kBuild].total_count(), 0u);
   EXPECT_GT(instrumented.histograms[obs::Phase::kSink].total_count(), 0u);
-  // The memory pillar must have charged the run's big containers (graph
-  // arrays, compiled kernels) and backed peak_memory_bytes with the
-  // measured watermark — all without reordering a single FP op above.
-  EXPECT_GT(instrumented.memory[obs::MemTag::kGraph].peak_bytes, 0u);
-  EXPECT_GT(instrumented.memory[obs::MemTag::kCompiledKernel].peak_bytes,
-            0u);
-  EXPECT_GT(instrumented.memory.total_peak_bytes, 0u);
-  EXPECT_EQ(instrumented.peak_memory_bytes,
-            instrumented.memory.total_peak_bytes);
-  EXPECT_GT(instrumented.peak_memory_estimate_bytes, 0u);
   // The failure-diagnostics pillar observed the same run for free: phase
   // breadcrumbs landed in the flight-recorder rings and the runner's phase
   // edges beat this thread's heartbeat slot.

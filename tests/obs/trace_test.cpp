@@ -140,44 +140,6 @@ TEST(Trace, NowIsMonotonic) {
   EXPECT_LE(a, b);
 }
 
-TEST(Trace, CounterSamplesAreGatedAndSorted) {
-  TraceGuard guard;
-  // Disabled: samples are dropped.
-  obs::record_counter_sample("gauge.x", 10, 1.0);
-  EXPECT_TRUE(obs::collect_counter_samples().empty());
-  obs::set_tracing_enabled(true);
-  obs::record_counter_sample("gauge.x", 30, 3.0);
-  obs::record_counter_sample("gauge.y", 20, 2.0);
-  obs::record_counter_sample("gauge.x", 20, 1.5);
-  obs::set_tracing_enabled(false);
-  const std::vector<obs::CounterSample> samples =
-      obs::collect_counter_samples();
-  ASSERT_EQ(samples.size(), 3u);
-  // Sorted by (t, name).
-  EXPECT_EQ(samples[0].name, "gauge.x");
-  EXPECT_EQ(samples[0].t_ns, 20);
-  EXPECT_EQ(samples[1].name, "gauge.y");
-  EXPECT_EQ(samples[2].name, "gauge.x");
-  EXPECT_EQ(samples[2].t_ns, 30);
-  EXPECT_DOUBLE_EQ(samples[2].value, 3.0);
-  obs::clear_trace();
-  EXPECT_TRUE(obs::collect_counter_samples().empty());
-}
-
-TEST(Trace, ChromeJsonEmitsCounterEvents) {
-  TraceGuard guard;
-  obs::set_tracing_enabled(true);
-  obs::record_counter_sample("sched.total_queued", 1000, 5.0);
-  obs::set_tracing_enabled(false);
-  std::ostringstream out;
-  obs::write_chrome_trace(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"sched.total_queued\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"args\": {\"value\": 5.000}"), std::string::npos);
-}
-
 TEST(Trace, ChromeJsonEmitsMetadataWithEvents) {
   TraceGuard guard;
   obs::set_thread_name("test.main");
