@@ -71,11 +71,10 @@ void veclen(const Args& args) {
   print(table, args);
 }
 
-// The §4.4 strided batch pick. SpMM with strided batches keeps partial
-// initialization for every batch after the first; disabling partial
-// initialization emulates the naive consecutive pick (G0..G7 at once),
-// where every lane cold-starts. Also reports SpMV with partial init as the
-// reference the strided trick is trying to match.
+// What partial initialization buys each kernel. A batch holds adjacent
+// windows, and each batch after a part's first seeds every lane from the
+// previous batch's last window (1..veclen windows back); SpMV seeds each
+// window from its direct predecessor.
 void spmm_order(const Args& args) {
   const TemporalEdgeList events = load_surrogate("wiki-talk", args);
   const WindowSpec spec = last_windows(events, 90 * kDay, 43'200,
@@ -88,14 +87,14 @@ void spmm_order(const Args& args) {
     bool partial;
   };
   const std::vector<Variant> variants{
-      {"SpMM strided + partial init (§4.4)", KernelKind::kSpmm, true},
-      {"SpMM, no partial init (≈ consecutive pick)", KernelKind::kSpmm,
-       false},
+      {"SpMM + partial init", KernelKind::kSpmm, true},
+      {"SpMM, full init", KernelKind::kSpmm, false},
       {"SpMV + partial init", KernelKind::kSpmv, true},
       {"SpMV, full init", KernelKind::kSpmv, false},
   };
 
-  Table table("Ablation: SpMM ordering and partial init, wiki-talk (windows=" +
+  Table table("Ablation: SpMM and SpMV with and without partial init, "
+              "wiki-talk (windows=" +
                   std::to_string(spec.count) +
                   ", veclen=" + std::to_string(args.veclen) + ")",
               {"variant", "compute (s)", "total iterations"});

@@ -28,14 +28,13 @@ double events_of(const MultiWindowGraph& part) {
   return static_cast<double>(part.num_events);
 }
 
-/// The 16-lane SpMM batch (the paper's preferred vector length) striding
-/// the part's windows, clamped to its window count at tiny scales.
+/// The postmortem runner's first 16-lane SpMM batch of the part (16 is
+/// the paper's preferred vector length): its first 16 adjacent windows,
+/// fewer at tiny scales.
 SpmmBatch spmm16_batch(const MultiWindowGraph& part) {
   SpmmBatch batch;
   batch.lanes = std::min<std::size_t>(16, part.num_windows);
   batch.first_window = part.first_window;
-  batch.window_stride =
-      std::max<std::size_t>(1, part.num_windows / batch.lanes);
   return batch;
 }
 

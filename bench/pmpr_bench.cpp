@@ -61,7 +61,7 @@ const Case kCases[] = {
      "scale seed csv max-windows", fig12, {.max_windows = 128}},
     {"veclen", "Ablation - SpMM vector length", "scale seed csv windows",
      veclen, {}},
-    {"spmm_order", "Ablation - SpMM batch ordering vs partial initialization",
+    {"spmm_order", "Ablation - SpMM and SpMV with and without partial init",
      "scale seed csv windows veclen", spmm_order, {}},
     {"timescan", "Ablation - linear vs binary-search time scan",
      "csv repeats events", timescan, {}},

@@ -56,84 +56,13 @@ struct WorkItem {
   std::size_t index;  // window-in-part (SpMV) or batch-in-part (SpMM)
 };
 
-/// SpMM batch geometry for one part (§4.4): W windows are divided into
-/// `lanes` regions of `region` consecutive windows; batch j takes the j-th
-/// window of every region, so batch j+1 holds the successors of batch j.
-struct PartBatching {
-  std::size_t lanes_max = 0;
-  std::size_t region = 0;
-  std::size_t num_batches = 0;
-};
-
-PartBatching batching_for(std::size_t num_windows,
-                          std::size_t vector_length) {
-  // vector_length is clamped to the [1, kMaxSpmmLanes] the kernels handle.
-  PartBatching b;
-  b.lanes_max = std::min(std::clamp<std::size_t>(vector_length, 1,
-                                                 kMaxSpmmLanes),
-                         num_windows);
-  b.region = (num_windows + b.lanes_max - 1) / b.lanes_max;
-  b.num_batches = b.region;
-  return b;
-}
-
-std::size_t lanes_of_batch(const PartBatching& b, std::size_t num_windows,
-                           std::size_t j) {
-  // Lane r exists iff r*region + j < num_windows.
-  if (j >= num_windows) return 0;
-  return (num_windows - j - 1) / b.region + 1;
-}
-
-/// Eq. 4 for one SpMM lane over lane-interleaved storage, with one mask
-/// word per vertex in prev_mask and cur_mask.
-void spmm_partial_init_lane(std::span<const double> prev_x,
-                            std::size_t prev_lanes, std::size_t kp,
-                            std::span<const std::uint64_t> prev_mask,
-                            std::span<double> cur_x, std::size_t cur_lanes,
-                            std::size_t k,
-                            std::span<const std::uint64_t> cur_mask,
-                            std::size_t cur_num_active) {
-  const std::size_t n = cur_mask.size();
-  const auto prev_has = [&](std::size_t v) {
-    return mask_test(prev_mask[v], kp);
-  };
-  const auto cur_has = [&](std::size_t v) {
-    return mask_test(cur_mask[v], k);
-  };
-  if (cur_num_active == 0) {
-    for (std::size_t v = 0; v < n; ++v) cur_x[v * cur_lanes + k] = 0.0;
-    return;
-  }
-  std::size_t shared = 0;
-  double mass = 0.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (prev_has(v) && cur_has(v)) {
-      ++shared;
-      mass += prev_x[v * prev_lanes + kp];
-    }
-  }
-  const double uniform = 1.0 / static_cast<double>(cur_num_active);
-  if (shared == 0 || mass <= 0.0) {
-    for (std::size_t v = 0; v < n; ++v) {
-      cur_x[v * cur_lanes + k] = cur_has(v) ? uniform : 0.0;
-    }
-    obs::count(obs::Counter::kVerticesReseeded, cur_num_active);
-    return;
-  }
-  obs::count(obs::Counter::kVerticesReused, shared);
-  obs::count(obs::Counter::kVerticesReseeded, cur_num_active - shared);
-  const double scale =
-      (static_cast<double>(shared) / static_cast<double>(cur_num_active)) /
-      mass;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!cur_has(v)) {
-      cur_x[v * cur_lanes + k] = 0.0;
-    } else if (prev_has(v)) {
-      cur_x[v * cur_lanes + k] = prev_x[v * prev_lanes + kp] * scale;
-    } else {
-      cur_x[v * cur_lanes + k] = uniform;
-    }
-  }
+/// Lanes per SpMM batch (§4.4): vector_length clamped to the
+/// [1, kMaxSpmmLanes] the kernels handle. Batch j of a part with W windows
+/// holds the adjacent windows [j·L, min(j·L + L, W)), so each batch but
+/// the first partial-initializes from the last window of the batch before
+/// it, 1..L windows back.
+std::size_t batch_width(std::size_t vector_length) {
+  return std::clamp<std::size_t>(vector_length, 1, kMaxSpmmLanes);
 }
 
 class PostmortemDriver {
@@ -161,10 +90,10 @@ class PostmortemDriver {
     for (std::size_t p = 0; p < num_parts; ++p) {
       const MultiWindowGraph& part =
           set != nullptr ? set->part(p) : paged->part_meta(p);
-      const std::size_t count =
-          cfg.kernel == KernelKind::kSpmv
-              ? part.num_windows
-              : batching_for(part.num_windows, cfg.vector_length).num_batches;
+      const std::size_t width = batch_width(cfg.vector_length);
+      const std::size_t count = cfg.kernel == KernelKind::kSpmv
+                                    ? part.num_windows
+                                    : (part.num_windows + width - 1) / width;
       for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
     }
     // The leaf grid: kPagerank runs every item in order as one chain;
@@ -315,16 +244,15 @@ class PostmortemDriver {
 
   void process_spmm(ThreadState& st, const WorkItem& item) {
     const MultiWindowGraph& part = part_of(item);
-    const PartBatching geo = batching_for(part.num_windows, cfg_.vector_length);
+    const std::size_t width = batch_width(cfg_.vector_length);
     const std::size_t j = item.index;
-    const std::size_t lanes = lanes_of_batch(geo, part.num_windows, j);
-    assert(lanes >= 1);
+    assert(j * width < part.num_windows);
+    const std::size_t lanes = std::min(width, part.num_windows - j * width);
     const std::size_t n = part.num_local();
 
     SpmmBatch batch;
     batch.lanes = lanes;
-    batch.first_window = part.first_window + j;
-    batch.window_stride = geo.region;
+    batch.first_window = part.first_window + j * width;
 
     st.x.resize(n * lanes);
     st.scratch.resize(n * lanes);
@@ -337,28 +265,15 @@ class PostmortemDriver {
     const bool partial = cfg_.partial_init && j > 0 &&
                          st.carry_part == item.part &&
                          st.carry_index == j - 1 &&
-                         st.prev_lanes >= lanes &&
                          st.prev_x.size() == n * st.prev_lanes;
     {
       PMPR_PHASE(obs::Phase::kInit, "batch.init", batch.first_window);
-      for (std::size_t k = 0; k < lanes; ++k) {
-        if (partial) {
-          // Lane k's window is the successor of the previous batch's lane k.
-          spmm_partial_init_lane(st.prev_x, st.prev_lanes, k, st.prev_mask,
-                                 st.x, lanes, k, st.spmm_ws.active_mask,
-                                 st.spmm_ws.num_active[k]);
-        } else {
-          const double uniform =
-              st.spmm_ws.num_active[k] > 0
-                  ? 1.0 / static_cast<double>(st.spmm_ws.num_active[k])
-                  : 0.0;
-          for (std::size_t v = 0; v < n; ++v) {
-            st.x[v * lanes + k] =
-                mask_test(st.spmm_ws.active_mask[v], k) ? uniform : 0.0;
-          }
-          obs::count(obs::Counter::kVerticesReseeded,
-                     st.spmm_ws.num_active[k]);
-        }
+      if (partial) {
+        // Every lane starts from the previous batch's last window.
+        spmm_partial_init(st.prev_x, st.prev_lanes, st.prev_mask,
+                          st.spmm_ws.active_mask, st.spmm_ws.num_active, st.x);
+      } else {
+        spmm_full_init(st.spmm_ws.active_mask, st.spmm_ws.num_active, st.x);
       }
     }
 
@@ -388,7 +303,8 @@ class PostmortemDriver {
     obs::count(obs::Counter::kWindowOutputBytes, lanes * n * sizeof(double));
 
     st.prev_x.swap(st.x);
-    st.prev_mask = st.spmm_ws.active_mask;  // copy; spmm_ws reused next item
+    // The next compile re-assigns spmm_ws's masks, so this one can move.
+    st.prev_mask.swap(st.spmm_ws.active_mask);
     st.prev_lanes = lanes;
     st.carry_part = item.part;
     st.carry_index = j;
@@ -416,11 +332,26 @@ class PostmortemDriver {
       PMPR_GUARDED_BY(idle_mu_);
 };
 
+/// Execution contexts that can each hold a working set at once: one chain
+/// in kPagerank mode, the pool's workers and the caller otherwise.
+std::size_t kernel_contexts(const PostmortemConfig& config) {
+  if (config.mode == ParallelMode::kPagerank) return 1;
+  return (config.pool != nullptr ? config.pool->num_threads()
+                                 : par::ThreadPool::global().num_threads()) +
+         1;
+}
+
+/// Lanes a batch holds at most (batch_width's clamp); 1 for SpMV.
+std::size_t working_lanes(const PostmortemConfig& config) {
+  return config.kernel == KernelKind::kSpmm ? batch_width(config.vector_length)
+                                            : 1;
+}
+
 /// Fills `result`'s memory fields (it must already hold its counter
-/// delta): the model's peak estimate, and the read amplification of runs
-/// that decoded compressed parts.
-void finish_memory_report(std::size_t estimate_bytes, RunResult& result) {
-  result.peak_memory_bytes = estimate_bytes;
+/// delta): the peak, and the read amplification of runs that decoded
+/// compressed parts.
+void finish_memory_report(std::size_t peak_bytes, RunResult& result) {
+  result.peak_memory_bytes = peak_bytes;
   const std::uint64_t decoded = result.counters[obs::Counter::kBytesDecoded];
   const std::uint64_t delivered =
       result.counters[obs::Counter::kWindowOutputBytes];
@@ -454,20 +385,9 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
   result.compute_seconds = timer.seconds();
   result.counters = obs::counters_snapshot().delta_since(before);
   result.histograms = obs::histograms_snapshot().delta_since(hist_before);
-  const std::size_t kernel_contexts =
-      config.mode == ParallelMode::kPagerank
-          ? 1
-          : (config.pool != nullptr ? config.pool->num_threads()
-                                    : par::ThreadPool::global().num_threads()) +
-                1;
-  // Count no more lanes than a batch can hold (batching_for's clamp).
-  const std::size_t vlen =
-      config.kernel == KernelKind::kSpmm
-          ? std::clamp<std::size_t>(config.vector_length, 1, kMaxSpmmLanes)
-          : 1;
-  const MemoryEstimate est = estimate_memory(set, vlen);
+  const MemoryEstimate est = estimate_memory(set, working_lanes(config));
   result.representation_bytes = est.representation_bytes;
-  finish_memory_report(est.peak_bytes(kernel_contexts), result);
+  finish_memory_report(est.peak_bytes(kernel_contexts(config)), result);
   return result;
 }
 
@@ -503,14 +423,20 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
   result.oocore_raw_bytes = ps.raw_bytes;
   result.oocore_measured_resident_peak_bytes =
       ps.measured_resident_peak_bytes;
-  // For paged runs the "estimate" is itself a paging measurement: charged
-  // payload peak plus the always-resident vertex maps.
+  // The paged peak: charged payload peak, the always-resident vertex maps,
+  // and the working sets an in-RAM run of the same problem counts.
   std::size_t meta_bytes = 0;
+  std::size_t working = 0;
   for (std::size_t p = 0; p < paged.num_parts(); ++p) {
-    meta_bytes +=
-        paged.part_meta(p).local_to_global.size() * sizeof(VertexId);
+    const MultiWindowGraph& meta = paged.part_meta(p);
+    meta_bytes += meta.local_to_global.size() * sizeof(VertexId);
+    working = std::max(working, working_bytes(meta.num_local(),
+                                              meta.num_events,
+                                              working_lanes(config)));
   }
-  finish_memory_report(ps.peak_resident_bytes + meta_bytes, result);
+  finish_memory_report(ps.peak_resident_bytes + meta_bytes +
+                           kernel_contexts(config) * working,
+                       result);
   return result;
 }
 

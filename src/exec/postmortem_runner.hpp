@@ -5,8 +5,10 @@
 //   * window-level / application-level / nested parallelism on the
 //     work-stealing pool (§4.3),
 //   * the SpMV or SpMM-inspired kernel (§4.4), always over the
-//     batch-compiled adjacency (pagerank/batch_csr.hpp); SpMM batches are
-//     strided so every batch after the first still partial-initializes.
+//     batch-compiled adjacency (pagerank/batch_csr.hpp). An SpMM batch
+//     holds up to vector_length adjacent windows of one part, and each
+//     batch after the part's first seeds every lane from the last window
+//     of the batch before it.
 #pragma once
 
 #include "exec/config.hpp"

@@ -5,15 +5,11 @@
 
 namespace pmpr {
 
-namespace {
-
-/// Working vectors per execution context for a part with `vertices` locals:
-/// x + scratch + prev_x (3 doubles) per lane, degrees (u32) per lane, one
-/// activity mask word, plus the batch-compiled adjacency
-/// (pagerank/batch_csr.hpp): row pointers, run-compressed neighbor + lane
-/// mask entries (bounded by the part's stored events — run compression and
-/// mask-0 dropping only shrink it), and the compacted active/dangling lists
-/// (a dangling row also carries a mask word).
+// Vectors: x + scratch + prev_x (3 doubles) and degrees (u32) per lane, one
+// activity mask word. Plus the batch-compiled adjacency: row pointers,
+// run-compressed neighbor + lane mask entries (bounded by the part's stored
+// events — run compression and mask-0 dropping only shrink it), and the
+// compacted active/dangling lists (a dangling row also carries a mask word).
 std::size_t working_bytes(std::size_t vertices, std::size_t events,
                           std::size_t vector_length) {
   const std::size_t lanes = std::max<std::size_t>(1, vector_length);
@@ -28,8 +24,6 @@ std::size_t working_bytes(std::size_t vertices, std::size_t events,
   return vectors + compiled;
 }
 
-}  // namespace
-
 MemoryEstimate estimate_memory(const MultiWindowSet& set,
                                std::size_t vector_length) {
   MemoryEstimate est;
@@ -37,11 +31,10 @@ MemoryEstimate estimate_memory(const MultiWindowSet& set,
     const auto& part = set.part(p);
     const std::size_t bytes = part.memory_bytes();
     est.representation_bytes += bytes;
-    if (bytes >= est.largest_part_bytes) {
-      est.largest_part_bytes = bytes;
-      est.working_bytes_per_context =
-          working_bytes(part.num_local(), part.num_events, vector_length);
-    }
+    est.largest_part_bytes = std::max(est.largest_part_bytes, bytes);
+    est.working_bytes_per_context = std::max(
+        est.working_bytes_per_context,
+        working_bytes(part.num_local(), part.num_events, vector_length));
   }
   return est;
 }

@@ -6,7 +6,8 @@
 // encoding·(Σ_w |V_w| + 2·|E_w|) plus the intermediate PageRank vectors.
 // estimate_memory measures both terms for a built set; the postmortem
 // runner reports them as RunResult::representation_bytes and
-// peak_memory_bytes.
+// peak_memory_bytes. Paged runs add working_bytes' term to their measured
+// resident peak, so both storage kinds report comparable peaks.
 #pragma once
 
 #include <cstddef>
@@ -22,11 +23,8 @@ struct MemoryEstimate {
   /// Bytes of the largest single part (the unit that must be resident
   /// while its windows compute).
   std::size_t largest_part_bytes = 0;
-  /// Per-execution-context working set for the largest part: PageRank
-  /// vector, scratch, partial-init carry, degrees and activity — times the
-  /// SpMM vector length — plus the batch-compiled adjacency
-  /// (pagerank/batch_csr.hpp; entries bounded by the part's stored
-  /// events).
+  /// The largest per-execution-context working set over the parts
+  /// (working_bytes).
   std::size_t working_bytes_per_context = 0;
 
   /// Peak bytes with `contexts` simultaneously active parts/kernels.
@@ -34,6 +32,14 @@ struct MemoryEstimate {
     return representation_bytes + contexts * working_bytes_per_context;
   }
 };
+
+/// Per-execution-context working set of a part with `vertices` locals and
+/// `events` stored events: PageRank vector, scratch, partial-init carry,
+/// degrees and activity — times the SpMM vector length — plus the
+/// batch-compiled adjacency (pagerank/batch_csr.hpp; entries bounded by the
+/// part's stored events).
+std::size_t working_bytes(std::size_t vertices, std::size_t events,
+                          std::size_t vector_length);
 
 /// Measures an already-built set.
 MemoryEstimate estimate_memory(const MultiWindowSet& set,

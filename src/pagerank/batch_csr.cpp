@@ -232,8 +232,8 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
   out.dangling_rows.clear();
   out.dangling_mask.clear();
 
-  // Union of the batch's lane windows: lanes are strided windows of one
-  // spec, so coverage is [start(first lane), end(last lane)].
+  // Union of the batch's lane windows: lanes are evenly spaced windows of
+  // one spec, so coverage is [start(first lane), end(last lane)].
   const Timestamp lo = spec.start(batch.first_window);
   const Timestamp hi = spec.end(batch.window_of_lane(batch.lanes - 1));
   for_each_row(part, lo, hi, parallel, scratch,

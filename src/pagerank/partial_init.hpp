@@ -12,8 +12,14 @@
 // windows share nothing. Only applied within one multi-window graph — the
 // local vertex spaces of different parts differ, and the paper skips
 // cross-part initialization for the same reason.
+//
+// The SpMM forms initialize a whole batch over lane-interleaved storage
+// (x[v*lanes + k]) with one lane mask word per vertex (bit k names lane k).
+// A batch is adjacent windows, so every lane is seeded from the same
+// source: the last lane of the previous batch, the nearest finished window.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -27,5 +33,26 @@ void partial_init(std::span<const double> prev_x,
                   std::span<const std::uint8_t> prev_active,
                   std::span<const std::uint8_t> cur_active,
                   std::size_t cur_num_active, std::span<double> out);
+
+/// Eq. 4 for every lane of a batch, each seeded from lane prev_lanes - 1 of
+/// `prev_x` (n * prev_lanes, with activity `prev_mask`). `cur_mask` holds
+/// the batch's n mask words and `cur_num_active` one count per lane, so
+/// lanes = cur_num_active.size() and `x` is n * lanes. One vertex-major
+/// pass gathers every lane's shared count and mass (each lane's sum in
+/// ascending v, like partial_init's), a second writes `x` row by row. A
+/// lane that shares nothing with the source, or only zero mass, starts
+/// uniform over its active set; an empty lane is all zero.
+void spmm_partial_init(std::span<const double> prev_x, std::size_t prev_lanes,
+                       std::span<const std::uint64_t> prev_mask,
+                       std::span<const std::uint64_t> cur_mask,
+                       std::span<const std::size_t> cur_num_active,
+                       std::span<double> x);
+
+/// Full initialization of every lane of a batch (1/|V_k| over lane k's
+/// active set, zero elsewhere) in one row-wise pass. Arguments as for
+/// spmm_partial_init.
+void spmm_full_init(std::span<const std::uint64_t> cur_mask,
+                    std::span<const std::size_t> cur_num_active,
+                    std::span<double> x);
 
 }  // namespace pmpr

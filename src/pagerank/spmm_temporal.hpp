@@ -7,9 +7,12 @@
 // turning the mostly-random per-window vector accesses into mostly-regular
 // ones — the SpMM memory-traffic win the paper borrows from linear algebra.
 //
-// Lanes are strided windows (G_j, G_{j+R}, G_{j+2R}, ...): the batch after
-// this one holds each window's direct successor, so every batch but the
-// first can use partial initialization (§4.4's region trick).
+// The postmortem runner's lanes are adjacent windows (G_jL .. G_jL+L-1), so
+// the lanes of one batch share most of their edges and a compiled entry
+// updates most of its lanes. Each batch after a part's first starts every
+// lane from the previous batch's last window (partial_init.hpp). Paper
+// §4.4 strides its lanes instead, to seed each from its direct
+// predecessor; DESIGN.md §2 records the departure.
 #pragma once
 
 #include <span>

@@ -40,8 +40,9 @@ void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
 inline constexpr std::size_t kMaxSpmmLanes = 64;
 
 /// State of an SpMM batch: `lanes` windows processed simultaneously.
-/// Lane k corresponds to global window `first_window + k * window_stride`
-/// (the strided pick of §4.4 that preserves partial initialization).
+/// Lane k corresponds to global window `first_window + k * window_stride`.
+/// The postmortem runner's batches are adjacent windows (stride 1); the
+/// kernels take any stride.
 struct SpmmBatch {
   std::size_t lanes = 0;
   std::size_t first_window = 0;
@@ -75,7 +76,8 @@ struct SpmmWindowState {
 };
 
 /// Mask of the lanes of `batch` whose window contains timestamp `t`.
-/// Lanes are strided windows of one spec, so they form one contiguous run.
+/// A batch's lanes are evenly spaced windows of one spec, so they form one
+/// contiguous run.
 /// Precondition: batch.lanes <= kMaxSpmmLanes.
 [[nodiscard]] std::uint64_t lanes_containing(const WindowSpec& spec,
                                              const SpmmBatch& batch,

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <numeric>
+#include <set>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "pagerank/window_state.hpp"
 #include "par/parallel_for.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace pmpr {
 namespace {
@@ -126,25 +133,158 @@ TEST(PostmortemRunner, PartialInitReducesTotalIterations) {
   EXPECT_LT(rw.total_iterations, ro.total_iterations);
 }
 
-TEST(PostmortemRunner, SpmmStridedBatchesPreservePartialInitGains) {
-  // §4.4: with strided batch picking, only the first batch cold-starts, so
-  // SpMM with partial init needs far fewer iterations than without.
+/// Records the order in which windows reach the sink.
+class OrderSink final : public ResultSink {
+ public:
+  void consume_dense(std::size_t window, std::span<const double>) override {
+    record(window);
+  }
+  void consume_mapped(std::size_t window, std::span<const VertexId>,
+                      std::span<const double>) override {
+    record(window);
+  }
+  [[nodiscard]] const std::vector<std::size_t>& order() const {
+    return order_;
+  }
+
+ private:
+  void record(std::size_t window) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    order_.push_back(window);
+  }
+  std::mutex mu_;
+  std::vector<std::size_t> order_;
+};
+
+TEST(PostmortemRunner, SpmmBatchesAreAdjacentWindows) {
+  // A batch holds adjacent windows, so one kPagerank chain over one part
+  // delivers every window in ascending order, the last batch holding the
+  // remainder (51 = 6 x 8 + 3).
   const TemporalEdgeList events = test::random_events(31, 60, 6000, 20000);
   const WindowSpec spec = WindowSpec::cover(0, 20000, 8000, 400);
+  ASSERT_EQ(spec.count % 8, 3u);
+  PostmortemConfig cfg = base_config();
+  cfg.mode = ParallelMode::kPagerank;
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.vector_length = 8;
+  cfg.num_multi_windows = 1;
 
-  PostmortemConfig with = base_config();
-  with.mode = ParallelMode::kPagerank;
-  with.kernel = KernelKind::kSpmm;
-  with.vector_length = 8;
-  with.partial_init = true;
-  with.num_multi_windows = 1;
-  PostmortemConfig without = with;
-  without.partial_init = false;
+  OrderSink sink;
+  run_postmortem(events, spec, sink, cfg);
+  std::vector<std::size_t> ascending(spec.count);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(sink.order(), ascending);
+}
+
+/// Vertices with an edge in window w, by brute force.
+std::uint64_t active_in_window(const TemporalEdgeList& events,
+                               const WindowSpec& spec, std::size_t w) {
+  std::set<VertexId> active;
+  for (const auto& [u, v] :
+       test::brute_window_edges(events, spec.start(w), spec.end(w))) {
+    active.insert(u);
+    active.insert(v);
+  }
+  return active.size();
+}
+
+/// One kPagerank chain over one part in 8-lane SpMM batches, counters on.
+RunResult run_counted_spmm8(const TemporalEdgeList& events,
+                            const WindowSpec& spec) {
+  PostmortemConfig cfg = base_config();
+  cfg.mode = ParallelMode::kPagerank;
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.vector_length = 8;
+  cfg.num_multi_windows = 1;
+  const bool counters = obs::set_counters_enabled(true);
+  NullSink sink;
+  RunResult r = run_postmortem(events, spec, sink, cfg);
+  obs::set_counters_enabled(counters);
+  return r;
+}
+
+TEST(PostmortemRunner, SpmmLanesSeedFromPreviousBatchLastLane) {
+  const WindowSpec spec = WindowSpec::cover(0, 20000, 8000, 400);
+  {
+    // Every window holds the same graph: each timestamp re-emits one fixed
+    // edge set. Only the first batch cold-starts; every later lane reuses
+    // all its active vertices.
+    Xoshiro256 rng(61);
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (int e = 0; e < 90; ++e) {
+      edges.emplace_back(static_cast<VertexId>(rng.bounded(40)),
+                         static_cast<VertexId>(rng.bounded(40)));
+    }
+    TemporalEdgeList events;
+    for (Timestamp t = 0; t <= 20000; t += 100) {
+      for (const auto& [u, v] : edges) events.add(u, v, t);
+    }
+    events.sort_by_time();
+    const std::uint64_t active = active_in_window(events, spec, 0);
+    const RunResult r = run_counted_spmm8(events, spec);
+    EXPECT_EQ(r.counters[obs::Counter::kVerticesReseeded], active * 8);
+    EXPECT_EQ(r.counters[obs::Counter::kVerticesReused],
+              active * (spec.count - 8));
+  }
+  {
+    // A growing path: edge (e, e+1) appears at time 100·e and then recurs
+    // every 100 time units, so each window's vertices include every
+    // earlier window's. Seeded from window jL - 1, every lane of batch j
+    // reuses all of that window's vertices; seeding lane k from window
+    // (j-1)L + k would reuse fewer.
+    TemporalEdgeList events;
+    for (VertexId e = 0; e < 200; ++e) {
+      for (Timestamp t = 100 * static_cast<Timestamp>(e); t <= 20000;
+           t += 100) {
+        events.add(e, e + 1, t);
+      }
+    }
+    events.sort_by_time();
+    std::uint64_t reused = 0;
+    std::uint64_t total = 0;
+    for (std::size_t w = 0; w < spec.count; ++w) {
+      total += active_in_window(events, spec, w);
+      if (w >= 8) reused += active_in_window(events, spec, w / 8 * 8 - 1);
+    }
+    ASSERT_LT(active_in_window(events, spec, 8),
+              active_in_window(events, spec, 15));
+    const RunResult r = run_counted_spmm8(events, spec);
+    EXPECT_EQ(r.counters[obs::Counter::kVerticesReused], reused);
+    EXPECT_EQ(r.counters[obs::Counter::kVerticesReseeded], total - reused);
+  }
+}
+
+TEST(PostmortemRunner, PagedPeakCountsWorkingSet) {
+  // Both storage kinds add the same per-context working sets to what they
+  // keep resident: the paged peak over its resident payload and vertex
+  // maps equals the in-RAM peak over its representation.
+  const TemporalEdgeList events = test::random_events(59, 60, 4000, 20000);
+  const WindowSpec spec = WindowSpec::cover(0, 20000, 5000, 900);
+  par::ThreadPool pool(2);
+  PostmortemConfig cfg = base_config();
+  cfg.mode = ParallelMode::kWindow;
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.vector_length = 16;
+  cfg.num_multi_windows = 3;
+  cfg.pool = &pool;
 
   NullSink sink;
-  const RunResult rw = run_postmortem(events, spec, sink, with);
-  const RunResult ro = run_postmortem(events, spec, sink, without);
-  EXPECT_LT(rw.total_iterations, ro.total_iterations);
+  const MultiWindowSet set = MultiWindowSet::build(events, spec, 3);
+  const RunResult in_ram = run_postmortem_prebuilt(set, sink, cfg);
+  PagedMultiWindowSet::Options opts;
+  opts.num_parts = 3;
+  const auto paged = PagedMultiWindowSet::build(events, spec, opts);
+  const RunResult out_of_core = run_postmortem_paged(*paged, sink, cfg);
+
+  std::size_t vertex_maps = 0;
+  for (std::size_t p = 0; p < paged->num_parts(); ++p) {
+    vertex_maps +=
+        paged->part_meta(p).local_to_global.size() * sizeof(VertexId);
+  }
+  ASSERT_GT(in_ram.peak_memory_bytes, in_ram.representation_bytes);
+  EXPECT_EQ(out_of_core.peak_memory_bytes -
+                (out_of_core.oocore_resident_peak_bytes + vertex_maps),
+            in_ram.peak_memory_bytes - in_ram.representation_bytes);
 }
 
 TEST(PostmortemRunner, PrebuiltMatchesFromEvents) {

@@ -316,4 +316,54 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
                        dangling_of, sweep);
 }
 
+void spmm_partial_init_lane(std::span<const double> prev_x,
+                            std::size_t prev_lanes, std::size_t kp,
+                            std::span<const std::uint64_t> prev_mask,
+                            std::span<double> cur_x, std::size_t cur_lanes,
+                            std::size_t k,
+                            std::span<const std::uint64_t> cur_mask,
+                            std::size_t cur_num_active) {
+  const std::size_t n = cur_mask.size();
+  const auto prev_has = [&](std::size_t v) {
+    return mask_test(prev_mask[v], kp);
+  };
+  const auto cur_has = [&](std::size_t v) {
+    return mask_test(cur_mask[v], k);
+  };
+  if (cur_num_active == 0) {
+    for (std::size_t v = 0; v < n; ++v) cur_x[v * cur_lanes + k] = 0.0;
+    return;
+  }
+  std::size_t shared = 0;
+  double mass = 0.0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (prev_has(v) && cur_has(v)) {
+      ++shared;
+      mass += prev_x[v * prev_lanes + kp];
+    }
+  }
+  const double uniform = 1.0 / static_cast<double>(cur_num_active);
+  if (shared == 0 || mass <= 0.0) {
+    for (std::size_t v = 0; v < n; ++v) {
+      cur_x[v * cur_lanes + k] = cur_has(v) ? uniform : 0.0;
+    }
+    obs::count(obs::Counter::kVerticesReseeded, cur_num_active);
+    return;
+  }
+  obs::count(obs::Counter::kVerticesReused, shared);
+  obs::count(obs::Counter::kVerticesReseeded, cur_num_active - shared);
+  const double scale =
+      (static_cast<double>(shared) / static_cast<double>(cur_num_active)) /
+      mass;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!cur_has(v)) {
+      cur_x[v * cur_lanes + k] = 0.0;
+    } else if (prev_has(v)) {
+      cur_x[v * cur_lanes + k] = prev_x[v * prev_lanes + kp] * scale;
+    } else {
+      cur_x[v * cur_lanes + k] = uniform;
+    }
+  }
+}
+
 }  // namespace pmpr::oracle

@@ -8,9 +8,12 @@
 // pagerank/spmm_temporal.hpp over pagerank/batch_csr.hpp) must match them
 // bit for bit when run serially (tests/pagerank/oracle_differential_test.cpp).
 // They read the raw arrays: compute_spmm_state, like compute_window_state,
-// throws InvariantError on a compressed part.
+// throws InvariantError on a compressed part. spmm_partial_init_lane is
+// the per-lane form of Eq. 4 that pagerank/partial_init.hpp's batch-wide
+// spmm_partial_init must match bit for bit.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "graph/multi_window.hpp"
@@ -48,5 +51,18 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
                         std::span<double> x, std::span<double> scratch,
                         const PagerankParams& params,
                         const par::ForOptions* parallel = nullptr);
+
+/// Eq. 4 for lane k of a batch over lane-interleaved storage, seeded from
+/// lane kp of `prev_x` (n * prev_lanes). One mask word per vertex in
+/// `prev_mask` and `cur_mask`; `cur_x` is n * cur_lanes. Three passes over
+/// all n vertices: clear an empty lane, or gather the shared count and
+/// mass, then write the lane. Counts kVerticesReused / kVerticesReseeded.
+void spmm_partial_init_lane(std::span<const double> prev_x,
+                            std::size_t prev_lanes, std::size_t kp,
+                            std::span<const std::uint64_t> prev_mask,
+                            std::span<double> cur_x, std::size_t cur_lanes,
+                            std::size_t k,
+                            std::span<const std::uint64_t> cur_mask,
+                            std::size_t cur_num_active);
 
 }  // namespace pmpr::oracle
