@@ -16,13 +16,37 @@
 #     audited against ground truth, not just against itself,
 #   * peak RSS stays sane (a paged run must not quietly materialize the
 #     whole raw representation: its maxrss is capped relative to the
-#     in-RAM run's).
+#     in-RAM run's),
+#   * each paged run decodes no more bytes than its store holds: an SpMM
+#     run indexes each pinned part once and cuts every batch from that
+#     index, so no chunk is decoded twice.
 # Keeps the --memory-budget-mb paging policy from silently rotting into
 # "load everything anyway".
 set -euo pipefail
 
 BIN=${1:?usage: oocore_smoke.sh <pmpr_run binary> [out_dir]}
 OUT=${2:-.}
+
+# Asserts that the paged run whose output is $1 decoded at most its store's
+# bytes. The oocore line prints the store to 0.01 MiB, so the bound allows
+# that rounding.
+check_decoded() {
+  python3 - "$1" <<'EOF'
+import re
+import sys
+
+text = open(sys.argv[1]).read()
+store = re.search(r"^oocore\s*:\s*store ([\d.]+) MiB", text, re.M)
+decoded = re.search(r"^read-amp\s*:.*decoded (\d+) B", text, re.M)
+assert store and decoded, f"no oocore or read-amp line in {sys.argv[1]}"
+bound = (float(store.group(1)) + 0.005) * 1024 * 1024
+assert int(decoded.group(1)) <= bound, (
+    f"{sys.argv[1]}: decoded {decoded.group(1)} B from a "
+    f"{store.group(1)} MiB store, so some chunk was decoded more than once")
+print(f"oocore smoke OK: decoded {decoded.group(1)} B from a "
+      f"{store.group(1)} MiB store")
+EOF
+}
 
 IN_RAM="$OUT/OOCORE_in_ram.txt"
 PAGED="$OUT/OOCORE_paged.txt"
@@ -115,6 +139,7 @@ print(f"oocore smoke OK: checksum match, {evictions} evictions, "
       f"(measured {measured_b} B vs charged {charged_b} B), "
       f"RSS {rss_paged} vs {rss_ram} bytes")
 EOF
+check_decoded "$PAGED"
 
 # Leaves that straddle parts: on 3 workers, 500 windows over 6 parts make
 # leaves that the part sizes do not divide (the 16-part pair above has one
@@ -135,3 +160,4 @@ if [[ -z "$ram_sum" || "$ram_sum" != "$paged_sum" ]]; then
   exit 1
 fi
 echo "oocore smoke OK: 3-worker 6-part checksums match ($ram_sum)"
+check_decoded "$OUT/OOCORE_split_paged.txt"

@@ -29,24 +29,26 @@ namespace {
 /// initialization (§4.3.1) chains only between consecutive items of one
 /// leased chunk: the lease drops the carry, so whether an item starts from
 /// its predecessor never depends on which chunk the state served before.
+/// SpMM batches are cut from the run's window-run indexes, so a state
+/// holds no copy of a part.
 struct ThreadState {
   WindowState ws;
   SpmmWindowState spmm_ws;
   CompiledWindowCsr compiled_win;
   CompiledBatchCsr compiled_batch;
-  /// Chunk-decode buffers for compressed parts, reused across the serial
-  /// compile passes (the parallel passes allocate per callback).
+  /// Chunk-decode buffers for compile_window on compressed parts, reused
+  /// across its serial passes (the parallel passes allocate per callback).
   io::DecodeScratch decode_scratch;
   std::vector<double> x;
   std::vector<double> scratch;
   std::vector<double> lane_buf;
 
-  // Carry for partial initialization: result of the previous item this
-  // state processed in the current lease.
-  std::vector<double> prev_x;
+  // Carry for partial initialization: the last window the previous item
+  // this state processed in the current lease computed, the one window
+  // Eq. 4 seeds from (SpMM: the previous batch's last lane).
+  std::vector<double> prev_x;                 // n
   std::vector<std::uint8_t> prev_active;      // SpMV
-  std::vector<std::uint64_t> prev_mask;       // SpMM, one word per vertex
-  std::size_t prev_lanes = 0;                 // SpMM
+  std::vector<std::uint64_t> prev_mask;       // SpMM, bit 0 per vertex
   std::size_t carry_part = SIZE_MAX;
   std::size_t carry_index = SIZE_MAX;
 };
@@ -109,17 +111,39 @@ class PostmortemDriver {
     result_.iterations_per_window.assign(spec_.count, 0);
     result_.final_residuals.assign(spec_.count, 0.0);
     result_.residual_trajectories.assign(spec_.count, {});
+    const bool spmm = cfg_.kernel == KernelKind::kSpmm;
 
     if (paged_ == nullptr) {
+      if (spmm) {
+        // Every part's index before the fork, one part per task.
+        indexes_.resize(set_->num_parts());
+        par::parallel_for(
+            0, set_->num_parts(),
+            par::ForOptions{par::Partitioner::kSimple, 1, cfg_.pool},
+            [this](std::size_t p) {
+              index_part(set_->part(p), p, indexes_[p], nullptr);
+            });
+      }
       run_items(0, items_.size());
     } else {
       // Part-major: one pinned part at a time, so at most one part (plus
-      // LRU leftovers under the budget) is resident.
+      // LRU leftovers under the budget) is resident. The pinned part's
+      // index reuses one buffer, reserved for the largest part.
+      if (spmm) {
+        std::size_t most = 0;
+        for (std::size_t p = 0; p < paged_->num_parts(); ++p) {
+          most = std::max(most, paged_->part_meta(p).num_events);
+        }
+        paged_index_.runs.reserve(most);
+      }
+      io::DecodeScratch decode;
       for (std::size_t lo = 0, hi = 0; lo < items_.size(); lo = hi) {
         while (hi < items_.size() && items_[hi].part == items_[lo].part) ++hi;
-        PagedMultiWindowSet::Lease lease = paged_->acquire(items_[lo].part);
+        const std::size_t p = items_[lo].part;
+        PagedMultiWindowSet::Lease lease = paged_->acquire(p);
         // Published to the workers by run_items' fork.
         paged_part_ = &lease.part();
+        if (spmm) index_part(*paged_part_, p, paged_index_, &decode);
         run_items(lo, hi);
         paged_part_ = nullptr;
       }
@@ -181,6 +205,21 @@ class PostmortemDriver {
   /// otherwise.
   [[nodiscard]] const MultiWindowGraph& part_of(const WorkItem& item) const {
     return paged_ != nullptr ? *paged_part_ : set_->part(item.part);
+  }
+
+  /// The window-run index of the part an item reads, over all its windows.
+  [[nodiscard]] const WindowRunIndex& index_of(const WorkItem& item) const {
+    return paged_ != nullptr ? paged_index_ : indexes_[item.part];
+  }
+
+  /// Indexes all of part p's windows into `out`: one walk over its rows,
+  /// one decode per chunk when the part is paged. A phase of its own, so
+  /// the compile phase counts it with the batches cut from it.
+  void index_part(const MultiWindowGraph& part, std::size_t p,
+                  WindowRunIndex& out, io::DecodeScratch* decode) const {
+    PMPR_PHASE(obs::Phase::kBuild, "part.compile", p);
+    build_window_run_index(part, spec_, part.first_window, part.num_windows,
+                           out, decode);
   }
 
   void process(ThreadState& st, const WorkItem& item) {
@@ -258,20 +297,20 @@ class PostmortemDriver {
     st.scratch.resize(n * lanes);
     {
       PMPR_PHASE(obs::Phase::kBuild, "batch.build", batch.first_window);
-      compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
-                         kernel_par_, &st.decode_scratch);
+      compile_spmm_batch(index_of(item), batch, st.spmm_ws, st.compiled_batch,
+                         kernel_par_);
     }
 
     const bool partial = cfg_.partial_init && j > 0 &&
                          st.carry_part == item.part &&
-                         st.carry_index == j - 1 &&
-                         st.prev_x.size() == n * st.prev_lanes;
+                         st.carry_index == j - 1 && st.prev_x.size() == n;
     {
       PMPR_PHASE(obs::Phase::kInit, "batch.init", batch.first_window);
       if (partial) {
-        // Every lane starts from the previous batch's last window.
-        spmm_partial_init(st.prev_x, st.prev_lanes, st.prev_mask,
-                          st.spmm_ws.active_mask, st.spmm_ws.num_active, st.x);
+        // Every lane starts from the previous batch's last window, carried
+        // as a one-lane batch.
+        spmm_partial_init(st.prev_x, 1, st.prev_mask, st.spmm_ws.active_mask,
+                          st.spmm_ws.num_active, st.x);
       } else {
         spmm_full_init(st.spmm_ws.active_mask, st.spmm_ws.num_active, st.x);
       }
@@ -302,19 +341,26 @@ class PostmortemDriver {
     // Read-amplification denominator: one rank vector per lane's window.
     obs::count(obs::Counter::kWindowOutputBytes, lanes * n * sizeof(double));
 
-    st.prev_x.swap(st.x);
-    // The next compile re-assigns spmm_ws's masks, so this one can move.
-    st.prev_mask.swap(st.spmm_ws.active_mask);
-    st.prev_lanes = lanes;
+    // The carry is the last lane alone, the only one the next batch's
+    // partial init reads: lane_buf holds it after the sink loop.
+    st.prev_x.swap(st.lane_buf);
+    st.prev_mask.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      st.prev_mask[v] = st.spmm_ws.active_mask[v] >> (lanes - 1) & 1;
+    }
     st.carry_part = item.part;
     st.carry_index = j;
   }
 
   const MultiWindowSet* set_ = nullptr;
   PagedMultiWindowSet* paged_ = nullptr;
-  /// The part the paged sweep has pinned. Written between parts only
-  /// (before the fork / after the join), read by the workers.
+  /// The part the paged sweep has pinned and, for SpMM, its index. Written
+  /// between parts only (before the fork / after the join), read by the
+  /// workers.
   const MultiWindowGraph* paged_part_ = nullptr;
+  WindowRunIndex paged_index_;
+  /// In RAM, every part's index (SpMM), built before the items run.
+  std::vector<WindowRunIndex> indexes_;
   const WindowSpec spec_;
   ResultSink& sink_;
   const PostmortemConfig& cfg_;
@@ -385,7 +431,8 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
   result.compute_seconds = timer.seconds();
   result.counters = obs::counters_snapshot().delta_since(before);
   result.histograms = obs::histograms_snapshot().delta_since(hist_before);
-  const MemoryEstimate est = estimate_memory(set, working_lanes(config));
+  MemoryEstimate est = estimate_memory(set, working_lanes(config));
+  if (config.kernel != KernelKind::kSpmm) est.index_bytes = 0;
   result.representation_bytes = est.representation_bytes;
   finish_memory_report(est.peak_bytes(kernel_contexts(config)), result);
   return result;
@@ -424,17 +471,23 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
   result.oocore_measured_resident_peak_bytes =
       ps.measured_resident_peak_bytes;
   // The paged peak: charged payload peak, the always-resident vertex maps,
-  // and the working sets an in-RAM run of the same problem counts.
+  // the working sets an in-RAM run of the same problem counts, and (SpMM)
+  // the index of the one part pinned at a time.
   std::size_t meta_bytes = 0;
   std::size_t working = 0;
+  std::size_t index = 0;
   for (std::size_t p = 0; p < paged.num_parts(); ++p) {
     const MultiWindowGraph& meta = paged.part_meta(p);
     meta_bytes += meta.local_to_global.size() * sizeof(VertexId);
     working = std::max(working, working_bytes(meta.num_local(),
                                               meta.num_events,
                                               working_lanes(config)));
+    if (config.kernel == KernelKind::kSpmm) {
+      index = std::max(index, window_run_index_bytes(meta.num_local(),
+                                                     meta.num_events));
+    }
   }
-  finish_memory_report(ps.peak_resident_bytes + meta_bytes +
+  finish_memory_report(ps.peak_resident_bytes + meta_bytes + index +
                            kernel_contexts(config) * working,
                        result);
   return result;

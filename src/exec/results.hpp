@@ -41,8 +41,10 @@ struct RunResult {
   obs::HistogramSnapshot histograms;
   /// Peak resident bytes of the run's representation + working sets, as
   /// the execution model estimates them (in-RAM postmortem: §4.1
-  /// estimate_memory; paged: the charged paging peak plus vertex maps
-  /// plus the same working sets as in RAM; offline and streaming: their resident-footprint bounds).
+  /// estimate_memory, with every part's SpMM index; paged: the charged
+  /// paging peak plus vertex maps plus the same working sets as in RAM
+  /// plus the pinned part's SpMM index; offline and streaming: their
+  /// resident-footprint bounds).
   /// obs::peak_rss_bytes() reads the measured process peak.
   std::size_t peak_memory_bytes = 0;
   /// Read amplification of compressed/oocore runs: encoded bytes decoded

@@ -1,6 +1,5 @@
 #include "pagerank/window_state.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "util/check.hpp"
@@ -74,26 +73,6 @@ void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
     out.num_active = 0;
     for (std::size_t v = 0; v < n; ++v) out.num_active += out.active[v];
   }
-}
-
-std::uint64_t lanes_containing(const WindowSpec& spec, const SpmmBatch& batch,
-                               Timestamp t) {
-  const auto [wlo, whi] = spec.windows_containing(t);  // [wlo, whi)
-  if (wlo >= whi) return 0;
-  // Lane k holds window first_window + k*stride; find the k range
-  // intersecting [wlo, whi). The range is contiguous in k.
-  const auto first = static_cast<std::int64_t>(batch.first_window);
-  const auto stride = static_cast<std::int64_t>(batch.window_stride);
-  const auto lo_num = static_cast<std::int64_t>(wlo) - first;
-  const auto hi_num = static_cast<std::int64_t>(whi) - 1 - first;
-  if (hi_num < 0) return 0;
-  const std::int64_t k_lo = lo_num <= 0 ? 0 : (lo_num + stride - 1) / stride;
-  std::int64_t k_hi = hi_num / stride;
-  k_hi = std::min<std::int64_t>(k_hi,
-                                static_cast<std::int64_t>(batch.lanes) - 1);
-  if (k_lo > k_hi) return 0;
-  return lane_range_mask(static_cast<std::size_t>(k_lo),
-                         static_cast<std::size_t>(k_hi));
 }
 
 }  // namespace pmpr

@@ -1,7 +1,7 @@
 // Per-window derived state over a multi-window graph's local vertex space:
 // distinct out-degrees and the active vertex set, computed by one scatter
 // pass over the reverse temporal CSR. Computed once per window (or once per
-// SpMM batch for all lanes together, by compile_spmm_batch in
+// SpMM batch for all lanes together, by compile_spmm_batch's cut in
 // pagerank/batch_csr.hpp) and reused across power iterations.
 #pragma once
 
@@ -74,13 +74,5 @@ struct SpmmWindowState {
     num_active.assign(num_lanes, 0);
   }
 };
-
-/// Mask of the lanes of `batch` whose window contains timestamp `t`.
-/// A batch's lanes are evenly spaced windows of one spec, so they form one
-/// contiguous run.
-/// Precondition: batch.lanes <= kMaxSpmmLanes.
-[[nodiscard]] std::uint64_t lanes_containing(const WindowSpec& spec,
-                                             const SpmmBatch& batch,
-                                             Timestamp t);
 
 }  // namespace pmpr

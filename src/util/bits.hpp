@@ -2,8 +2,8 @@
 //
 // A lane mask is one std::uint64_t: bit k names lane k of a batch of at
 // most 64 lanes (kMaxSpmmLanes, pagerank/window_state.hpp). Lane indices
-// are std::size_t everywhere, and ctz64 is the single sanctioned spot that
-// converts a mask into a lane index.
+// are std::size_t everywhere, and ctz64 and lane_end are the only spots
+// that convert a mask into a lane index.
 #pragma once
 
 #include <bit>
@@ -17,6 +17,12 @@ namespace pmpr {
 /// is never a valid lane).
 [[nodiscard]] constexpr std::size_t ctz64(std::uint64_t x) {
   return static_cast<std::size_t>(std::countr_zero(x));
+}
+
+/// One past the highest set bit of `x` as std::size_t. Precondition:
+/// x != 0.
+[[nodiscard]] constexpr std::size_t lane_end(std::uint64_t x) {
+  return 64 - static_cast<std::size_t>(std::countl_zero(x));
 }
 
 /// The mask of lane `lane` alone. Precondition: lane < 64.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/memory_budget.hpp"
 #include "obs/counters.hpp"
 #include "pagerank/window_state.hpp"
 #include "par/parallel_for.hpp"
@@ -256,8 +258,9 @@ TEST(PostmortemRunner, SpmmLanesSeedFromPreviousBatchLastLane) {
 
 TEST(PostmortemRunner, PagedPeakCountsWorkingSet) {
   // Both storage kinds add the same per-context working sets to what they
-  // keep resident: the paged peak over its resident payload and vertex
-  // maps equals the in-RAM peak over its representation.
+  // keep resident: the paged peak over its resident payload, vertex maps
+  // and the one pinned part's SpMM index equals the in-RAM peak over its
+  // representation and every part's index.
   const TemporalEdgeList events = test::random_events(59, 60, 4000, 20000);
   const WindowSpec spec = WindowSpec::cover(0, 20000, 5000, 900);
   par::ThreadPool pool(2);
@@ -277,14 +280,67 @@ TEST(PostmortemRunner, PagedPeakCountsWorkingSet) {
   const RunResult out_of_core = run_postmortem_paged(*paged, sink, cfg);
 
   std::size_t vertex_maps = 0;
+  std::size_t largest_index = 0;
+  std::size_t all_indexes = 0;
   for (std::size_t p = 0; p < paged->num_parts(); ++p) {
-    vertex_maps +=
-        paged->part_meta(p).local_to_global.size() * sizeof(VertexId);
+    const MultiWindowGraph& meta = paged->part_meta(p);
+    vertex_maps += meta.local_to_global.size() * sizeof(VertexId);
+    largest_index = std::max(
+        largest_index,
+        window_run_index_bytes(meta.num_local(), meta.num_events));
+    all_indexes += window_run_index_bytes(set.part(p).num_local(),
+                                          set.part(p).num_events);
   }
-  ASSERT_GT(in_ram.peak_memory_bytes, in_ram.representation_bytes);
+  ASSERT_GT(largest_index, 0u);
+  ASSERT_GT(in_ram.peak_memory_bytes,
+            in_ram.representation_bytes + all_indexes);
   EXPECT_EQ(out_of_core.peak_memory_bytes -
-                (out_of_core.oocore_resident_peak_bytes + vertex_maps),
-            in_ram.peak_memory_bytes - in_ram.representation_bytes);
+                (out_of_core.oocore_resident_peak_bytes + vertex_maps +
+                 largest_index),
+            in_ram.peak_memory_bytes -
+                (in_ram.representation_bytes + all_indexes));
+}
+
+TEST(PostmortemRunner, PagedSpmmDecodesEachPartOnce) {
+  // A paged SpMM run indexes each part it pins in one walk and cuts every
+  // batch from that index, so it decodes each chunk with entries exactly
+  // once, however many batches the part holds (here 6 parts of at least
+  // 4 batches each, on 2 workers).
+  const TemporalEdgeList events = test::random_events(67, 60, 5000, 40000);
+  const WindowSpec spec = WindowSpec::cover(0, 40000, 6000, 100);
+  par::ThreadPool pool(2);
+  PostmortemConfig cfg = base_config();
+  cfg.mode = ParallelMode::kNested;
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.vector_length = 16;
+  cfg.num_multi_windows = 6;
+  cfg.pool = &pool;
+  PagedMultiWindowSet::Options opts;
+  opts.num_parts = 6;
+  opts.target_chunk_entries = 256;
+  opts.budget_bytes = 0;
+  const auto paged = PagedMultiWindowSet::build(events, spec, opts);
+
+  const bool counters = obs::set_counters_enabled(true);
+  NullSink sink;
+  const RunResult r = run_postmortem_paged(*paged, sink, cfg);
+  obs::set_counters_enabled(counters);
+
+  std::uint64_t chunk_bytes = 0;
+  std::uint64_t chunks = 0;
+  for (std::size_t p = 0; p < paged->num_parts(); ++p) {
+    ASSERT_GT(paged->part_meta(p).num_windows, 3 * cfg.vector_length);
+    const auto lease = paged->acquire(p);
+    const io::CompressedTemporalCsr& packed = *lease.part().in_compressed;
+    for (std::size_t c = 0; c < packed.num_chunks(); ++c) {
+      if (packed.chunk(c).num_entries == 0) continue;
+      chunk_bytes += packed.chunk(c).byte_size;
+      ++chunks;
+    }
+  }
+  ASSERT_GT(chunks, paged->num_parts());
+  EXPECT_EQ(r.counters[obs::Counter::kBytesDecoded], chunk_bytes);
+  EXPECT_EQ(r.counters[obs::Counter::kChunksDecoded], chunks);
 }
 
 TEST(PostmortemRunner, PrebuiltMatchesFromEvents) {

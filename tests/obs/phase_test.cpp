@@ -127,6 +127,7 @@ const std::map<std::string, obs::Phase>& phase_vocabulary() {
       {"postmortem.build_paged_store", obs::Phase::kBuild},
       {"window.build", obs::Phase::kBuild},
       {"batch.build", obs::Phase::kBuild},
+      {"part.compile", obs::Phase::kBuild},
       {"window.mutate", obs::Phase::kBuild},
       {"window.init", obs::Phase::kInit},
       {"batch.init", obs::Phase::kInit},

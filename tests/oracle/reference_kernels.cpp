@@ -16,24 +16,35 @@ namespace pmpr::oracle {
 
 namespace {
 
+/// Run compression for one SpMM row: calls `fn(u, run_mask)` once per
+/// <neighbor, time> run whose events join at least one lane, with the union
+/// of those events' lanes.
+template <typename Fn>
+void for_each_lane_run(const WindowSpec& spec, const SpmmBatch& batch,
+                       std::span<const VertexId> cols,
+                       std::span<const Timestamp> times, Fn&& fn) {
+  std::size_t i = 0;
+  while (i < cols.size()) {
+    const VertexId u = cols[i];
+    std::uint64_t run_mask = 0;
+    while (i < cols.size() && cols[i] == u) {
+      run_mask |= lanes_containing(spec, batch, times[i]);
+      ++i;
+    }
+    if (run_mask != 0) fn(u, run_mask);
+  }
+}
+
 template <bool Atomic>
 void scatter_spmm_rows(const MultiWindowGraph& part, const WindowSpec& spec,
                        const SpmmBatch& batch, SpmmWindowState& out,
                        std::size_t lo, std::size_t hi) {
   const std::size_t lanes = batch.lanes;
   for (std::size_t v = lo; v < hi; ++v) {
-    const auto cols = part.in.row_cols(static_cast<VertexId>(v));
-    const auto times = part.in.row_times(static_cast<VertexId>(v));
     std::uint64_t v_mask = 0;
-    std::size_t i = 0;
-    while (i < cols.size()) {
-      const VertexId u = cols[i];
-      std::uint64_t run_mask = 0;
-      while (i < cols.size() && cols[i] == u) {
-        run_mask |= lanes_containing(spec, batch, times[i]);
-        ++i;
-      }
-      if (run_mask == 0) continue;
+    for_each_lane_run(spec, batch, part.in.row_cols(static_cast<VertexId>(v)),
+                      part.in.row_times(static_cast<VertexId>(v)),
+                      [&](VertexId u, std::uint64_t run_mask) {
       // u gains one distinct out-neighbor in every lane of run_mask.
       for_each_set_lane(run_mask, [&](std::size_t k) {
         if constexpr (Atomic) {
@@ -52,7 +63,7 @@ void scatter_spmm_rows(const MultiWindowGraph& part, const WindowSpec& spec,
       } else {
         out.active_mask[u] |= run_mask;
       }
-    }
+    });
     if (v_mask != 0) {
       if constexpr (Atomic) {
         std::atomic_ref<std::uint64_t> mask(out.active_mask[v]);
@@ -127,14 +138,8 @@ void sweep_batch_rows(const MultiWindowGraph& part, const WindowSpec& spec,
       const auto cols = part.in.row_cols(static_cast<VertexId>(v));
       const auto times = part.in.row_times(static_cast<VertexId>(v));
       edges += cols.size();
-      std::size_t i = 0;
-      while (i < cols.size()) {
-        const VertexId u = cols[i];
-        std::uint64_t run_mask = 0;
-        while (i < cols.size() && cols[i] == u) {
-          run_mask |= lanes_containing(spec, batch, times[i]);
-          ++i;
-        }
+      for_each_lane_run(spec, batch, cols, times,
+                        [&](VertexId u, std::uint64_t run_mask) {
         for_each_set_lane(run_mask & update, [&](std::size_t k) {
           acc[k] = std::fma(
               one_minus_alpha,
@@ -142,7 +147,7 @@ void sweep_batch_rows(const MultiWindowGraph& part, const WindowSpec& spec,
                   static_cast<double>(state.out_degree[u * lanes + k]),
               acc[k]);
         });
-      }
+      });
     }
 
     for (std::size_t k = 0; k < lanes; ++k) {
@@ -179,6 +184,75 @@ LaneVec dangling_scan(const SpmmWindowState& state, const double* cur,
 }
 
 }  // namespace
+
+std::uint64_t lanes_containing(const WindowSpec& spec, const SpmmBatch& batch,
+                               Timestamp t) {
+  const auto [wlo, whi] = spec.windows_containing(t);  // [wlo, whi)
+  if (wlo >= whi) return 0;
+  // Lane k holds window first_window + k*stride; find the k range
+  // intersecting [wlo, whi). The range is contiguous in k.
+  const auto first = static_cast<std::int64_t>(batch.first_window);
+  const auto stride = static_cast<std::int64_t>(batch.window_stride);
+  const auto lo_num = static_cast<std::int64_t>(wlo) - first;
+  const auto hi_num = static_cast<std::int64_t>(whi) - 1 - first;
+  if (hi_num < 0) return 0;
+  const std::int64_t k_lo = lo_num <= 0 ? 0 : (lo_num + stride - 1) / stride;
+  std::int64_t k_hi = hi_num / stride;
+  k_hi = std::min<std::int64_t>(k_hi,
+                                static_cast<std::int64_t>(batch.lanes) - 1);
+  if (k_lo > k_hi) return 0;
+  return lane_range_mask(static_cast<std::size_t>(k_lo),
+                         static_cast<std::size_t>(k_hi));
+}
+
+void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
+                        const SpmmBatch& batch, SpmmWindowState& state,
+                        CompiledBatchCsr& out) {
+  const TemporalCsr decoded = part.is_compressed()
+                                  ? decompress_temporal_csr(*part.in_compressed)
+                                  : TemporalCsr{};
+  const TemporalCsr& in = part.is_compressed() ? decoded : part.in;
+  const std::size_t n = part.num_local();
+  const std::size_t lanes = batch.lanes;
+  state.resize(n, lanes);
+  out.lanes = lanes;
+  out.row_ptr.assign(n + 1, 0);
+  out.nbr.clear();
+  out.mask.clear();
+  out.active_rows.clear();
+  out.dangling_rows.clear();
+  out.dangling_mask.clear();
+  for (std::size_t v = 0; v < n; ++v) {
+    std::uint64_t v_mask = 0;
+    for_each_lane_run(spec, batch, in.row_cols(static_cast<VertexId>(v)),
+                      in.row_times(static_cast<VertexId>(v)),
+                      [&](VertexId u, std::uint64_t run_mask) {
+      out.nbr.push_back(u);
+      out.mask.push_back(run_mask);
+      for_each_set_lane(run_mask, [&](std::size_t k) {
+        ++state.out_degree[u * lanes + k];
+      });
+      state.active_mask[u] |= run_mask;
+      v_mask |= run_mask;
+    });
+    state.active_mask[v] |= v_mask;
+    out.row_ptr[v + 1] = out.nbr.size();
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t m = state.active_mask[v];
+    if (m == 0) continue;
+    out.active_rows.push_back(static_cast<VertexId>(v));
+    std::uint64_t dangling = 0;
+    for_each_set_lane(m, [&](std::size_t k) {
+      ++state.num_active[k];
+      if (state.out_degree[v * lanes + k] == 0) dangling |= lane_bit(k);
+    });
+    if (dangling != 0) {
+      out.dangling_rows.push_back(static_cast<VertexId>(v));
+      out.dangling_mask.push_back(dangling);
+    }
+  }
+}
 
 void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
                         const SpmmBatch& batch, SpmmWindowState& out,

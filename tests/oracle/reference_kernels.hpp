@@ -10,18 +10,37 @@
 // They read the raw arrays: compute_spmm_state, like compute_window_state,
 // throws InvariantError on a compressed part. spmm_partial_init_lane is
 // the per-lane form of Eq. 4 that pagerank/partial_init.hpp's batch-wide
-// spmm_partial_init must match bit for bit.
+// spmm_partial_init must match bit for bit. compile_spmm_batch is the
+// per-event compile every cut from a window-run index
+// (pagerank/batch_csr.hpp) must match bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "graph/multi_window.hpp"
+#include "pagerank/batch_csr.hpp"
 #include "pagerank/pagerank.hpp"
 #include "pagerank/spmm_temporal.hpp"
 #include "pagerank/window_state.hpp"
 
 namespace pmpr::oracle {
+
+/// Mask of the lanes of `batch` whose window contains timestamp `t`.
+/// A batch's lanes are evenly spaced windows of one spec, so they form one
+/// contiguous run.
+/// Precondition: batch.lanes <= kMaxSpmmLanes.
+[[nodiscard]] std::uint64_t lanes_containing(const WindowSpec& spec,
+                                             const SpmmBatch& batch,
+                                             Timestamp t);
+
+/// Compiles `batch` of `part` per event, serially: each <neighbor, time>
+/// run of a row becomes one entry whose mask is the OR of lanes_containing
+/// over its events (mask-0 runs dropped), with the degrees, activity and
+/// compaction lists of that form. A compressed part is decompressed first.
+void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
+                        const SpmmBatch& batch, SpmmWindowState& state,
+                        CompiledBatchCsr& out);
 
 /// Computes degrees/activity for all lanes of `batch` in one pass over the
 /// part's temporal CSR (this shared pass is the SpMM saving).

@@ -1,13 +1,14 @@
-// Parallel-compile race coverage for the two-pass count/prefix/fill build
-// in batch_csr.cpp (and the oracle's reference scatter), on raw parts and
-// on compressed parts leased from the out-of-core store. These tests exist
-// primarily to run under ThreadSanitizer — they are registered as their
-// own ctest binary so ci/sanitize.sh's TSan pass picks them up by label.
-// The atomicity contract they exercise is documented at scatter_row:
-// row_ptr[v+1] is row-owned (plain stores in both paths); out_degree,
-// active_mask and the SpMV active flags are cross-row scatters and use
-// std::atomic_ref in the parallel path only. The compressed parts add the
-// row walker's per-callback decode scratch and chunk-counter flushes.
+// Parallel-compile race coverage for the two-pass count/prefix/fill builds
+// in batch_csr.cpp (the SpMM cut, the SpMV window compile, and the
+// oracle's reference scatter), on raw parts and on compressed parts leased
+// from the out-of-core store. These tests exist primarily to run under
+// ThreadSanitizer — they are registered as their own ctest binary so
+// ci/sanitize.sh's TSan pass picks them up by label. The atomicity
+// contract they exercise is documented at cut_parallel: row_ptr[v+1] is
+// row-owned (plain stores in both paths); out_degree, active_mask and the
+// SpMV active flags are cross-row scatters and use std::atomic_ref in the
+// parallel path only. The compressed parts add the window compile's
+// per-callback decode scratch and chunk-counter flushes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
