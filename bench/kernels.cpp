@@ -1,9 +1,9 @@
 // Kernel timings: the building blocks whose costs explain the figure-level
-// results — temporal CSR construction, per-window state scatter, one SpMV
-// iteration vs one SpMM iteration (compiled, and the reference kernels of
-// the test oracle), the batch compile they amortize, streaming graph
-// mutation and window-graph reconstruction (the offline model's per-window
-// cost). `suite` gates the sweeps through the same functions.
+// results — temporal CSR construction, one SpMV iteration vs one SpMM
+// iteration (compiled, and the reference kernels of the test oracle), the
+// batch compile they amortize, streaming graph mutation and window-graph
+// reconstruction (the offline model's per-window cost). `suite` gates the
+// sweeps through the same functions.
 #include <algorithm>
 #include <string>
 #include <utility>
@@ -14,8 +14,8 @@
 #include "graph/temporal_csr.hpp"
 #include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
+#include "pagerank/partial_init.hpp"
 #include "pagerank/spmm_temporal.hpp"
-#include "pagerank/spmv_temporal.hpp"
 #include "streaming/dynamic_graph.hpp"
 
 namespace pmpr::bench {
@@ -63,15 +63,6 @@ KernelTime window_graph_build(const KernelFixture& f, std::int64_t iters) {
   const auto slice = f.events.slice(f.spec.start(0), f.spec.end(0));
   return time_kernel(iters, static_cast<double>(slice.size()), [&] {
     build_window_graph(slice, f.events.num_vertices());
-  });
-}
-
-KernelTime window_state_scatter(const KernelFixture& f, std::int64_t iters) {
-  const MultiWindowGraph& part = f.set.part(0);
-  const std::size_t w = part.first_window;
-  WindowState ws;
-  return time_kernel(iters, events_of(part), [&] {
-    compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
   });
 }
 
@@ -126,8 +117,8 @@ KernelFixture::KernelFixture(const TemporalEdgeList& e, std::size_t windows)
 KernelTime spmv_ref(const KernelFixture& f, std::int64_t iters) {
   const MultiWindowGraph& part = f.set.part(0);
   const std::size_t w = part.first_window;
-  WindowState ws;
-  compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
+  oracle::WindowState ws;
+  oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
   std::vector<double> x(part.num_local());
   std::vector<double> scratch(part.num_local());
   full_init(ws.active, ws.num_active, x);
@@ -137,17 +128,18 @@ KernelTime spmv_ref(const KernelFixture& f, std::int64_t iters) {
   });
 }
 
+/// The kSpmv kernel: a one-lane compiled batch of the part's first window.
 KernelTime spmv_compiled(const KernelFixture& f, std::int64_t iters) {
   const MultiWindowGraph& part = f.set.part(0);
-  const std::size_t w = part.first_window;
-  WindowState ws;
-  CompiledWindowCsr compiled;
-  compile_window(part, f.spec.start(w), f.spec.end(w), ws, compiled);
+  SpmmWindowState ws;
+  CompiledBatchCsr compiled;
+  compile_spmm_batch(part, f.spec, SpmmBatch{1, part.first_window}, ws,
+                     compiled);
   std::vector<double> x(part.num_local());
   std::vector<double> scratch(part.num_local());
-  full_init(ws.active, ws.num_active, x);
+  spmm_full_init(ws.active_mask, ws.num_active, x);
   return time_kernel(iters, events_of(part), [&] {
-    pagerank_window_spmv(ws, compiled, x, scratch, kOneTraversal);
+    pagerank_spmm(ws, compiled, x, scratch, kOneTraversal);
   });
 }
 
@@ -182,7 +174,6 @@ void micro(const Args& args) {
   const std::vector<std::pair<std::string, KernelTime>> kernels{
       {"micro.temporal_csr_build", temporal_csr_build(f, n)},
       {"micro.window_graph_build", window_graph_build(f, n)},
-      {"micro.window_state_scatter", window_state_scatter(f, n)},
       {"micro.spmv_ref", spmv_ref(f, n)},
       {"micro.spmv_compiled", spmv_compiled(f, n)},
       {"micro.spmm16_ref", spmm16_ref(f, n)},

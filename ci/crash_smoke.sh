@@ -8,7 +8,7 @@
 #      flight-recorder event).
 #   2. crash_probe stall — an injected sink sleep must make the watchdog
 #      fire within its detection budget and write pmpr-watchdog-<pid>.json
-#      naming the stalled phase (window.sink).
+#      naming the stalled phase (batch.sink).
 #   3. pmpr_run with and without --flight-recorder on one thread must print
 #      bit-identical checksums: the recorder observes, never perturbs.
 set -euo pipefail
@@ -71,7 +71,7 @@ with open(dumps[0]) as f:
     dump = json.load(f)
 assert dump["schema"] == "pmpr-crash-v1", "stall: bad schema tag"
 assert dump["kind"] == "watchdog_stall", "stall: bad kind"
-assert dump["stalled_phase"] == "window.sink", \
+assert dump["stalled_phase"] == "batch.sink", \
     f"stall: wrong phase {dump['stalled_phase']!r}"
 threshold_ns = int(sys.argv[2]) * 1_000_000
 assert dump["threshold_ns"] == threshold_ns, f"stall: wrong threshold {dump}"
@@ -81,7 +81,7 @@ assert threshold_ns < dump["stall_age_ns"] < 2 * threshold_ns, \
     f"stall: fire outside the detection budget ({dump['stall_age_ns']} ns)"
 assert dump["events"], "stall: no flight-recorder events in the dump"
 hb = dump["heartbeats"]
-assert any(b["phase"] == "window.sink" for b in hb), \
+assert any(b["phase"] == "batch.sink" for b in hb), \
     f"stall: heartbeat table does not show the stalled phase; got {hb}"
 print(f"crash_smoke stall OK: {dumps[0]} fired at "
       f"{dump['stall_age_ns'] / 1e6:.0f} ms on {dump['stalled_phase']}")

@@ -17,9 +17,10 @@
 #   * peak RSS stays sane (a paged run must not quietly materialize the
 #     whole raw representation: its maxrss is capped relative to the
 #     in-RAM run's),
-#   * each paged run decodes no more bytes than its store holds: an SpMM
-#     run indexes each pinned part once and cuts every batch from that
-#     index, so no chunk is decoded twice.
+#   * each paged run decodes no more bytes than its store holds: a run
+#     indexes each pinned part once and cuts every batch from that index,
+#     so no chunk is decoded twice — also at one lane, the kSpmv kernel's
+#     batch of one window.
 # Keeps the --memory-budget-mb paging policy from silently rotting into
 # "load everything anyway".
 set -euo pipefail
@@ -161,3 +162,20 @@ if [[ -z "$ram_sum" || "$ram_sum" != "$paged_sum" ]]; then
 fi
 echo "oocore smoke OK: 3-worker 6-part checksums match ($ram_sum)"
 check_decoded "$OUT/OOCORE_split_paged.txt"
+
+# One lane per batch (the kSpmv kernel): one batch per window, every one
+# cut from its pinned part's index, and the same ranks in both storage
+# kinds.
+PMPR_THREADS=3 "$BIN" "${SPLIT[@]}" --max-lanes 1 --storage in-ram \
+    > "$OUT/OOCORE_lane1_in_ram.txt"
+PMPR_THREADS=3 "$BIN" "${SPLIT[@]}" --max-lanes 1 --storage out-of-core \
+    --memory-budget-mb 0 > "$OUT/OOCORE_lane1_paged.txt"
+ram_sum=$(grep '^checksum' "$OUT/OOCORE_lane1_in_ram.txt" || true)
+paged_sum=$(grep '^checksum' "$OUT/OOCORE_lane1_paged.txt" || true)
+if [[ -z "$ram_sum" || "$ram_sum" != "$paged_sum" ]]; then
+  echo "one-lane paged ranks diverge from in-RAM: '$ram_sum' vs" \
+       "'$paged_sum'" >&2
+  exit 1
+fi
+echo "oocore smoke OK: one-lane checksums match ($ram_sum)"
+check_decoded "$OUT/OOCORE_lane1_paged.txt"

@@ -22,8 +22,8 @@ enum class ParallelMode {
   kNested,    ///< Both at once (workstealing adapts between them).
 };
 
-/// SpMV-style (one window at a time) vs SpMM-inspired (a batch of windows
-/// per matrix traversal, §4.4).
+/// SpMV-style (one window per matrix traversal: SpMM batches of one lane)
+/// vs SpMM-inspired (vector_length windows per traversal, §4.4).
 enum class KernelKind { kSpmv, kSpmm };
 
 /// How the multi-window representation is stored while computing.
@@ -58,7 +58,7 @@ struct PostmortemConfig {
   /// the paper's future-work decomposition; see graph/multi_window.hpp).
   PartitionPolicy partition_policy = PartitionPolicy::kUniformWindows;
   /// SpMM lanes per batch ("vector length"; paper uses 8 or 16), clamped
-  /// to [1, kMaxSpmmLanes].
+  /// to [1, kMaxSpmmLanes]. kSpmv batches hold one lane whatever its value.
   std::size_t vector_length = 16;
   /// ISA override for the compiled SpMM sweeps (kAuto = best the CPU
   /// supports; forced modes are for differential testing / perf triage and

@@ -14,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "pagerank/partial_init.hpp"
 #include "pagerank/spmm_temporal.hpp"
-#include "pagerank/spmv_temporal.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
@@ -29,42 +28,37 @@ namespace {
 /// initialization (§4.3.1) chains only between consecutive items of one
 /// leased chunk: the lease drops the carry, so whether an item starts from
 /// its predecessor never depends on which chunk the state served before.
-/// SpMM batches are cut from the run's window-run indexes, so a state
-/// holds no copy of a part.
+/// Batches are cut from the run's window-run indexes, so a state holds no
+/// copy of a part.
 struct ThreadState {
-  WindowState ws;
-  SpmmWindowState spmm_ws;
-  CompiledWindowCsr compiled_win;
-  CompiledBatchCsr compiled_batch;
-  /// Chunk-decode buffers for compile_window on compressed parts, reused
-  /// across its serial passes (the parallel passes allocate per callback).
-  io::DecodeScratch decode_scratch;
+  SpmmWindowState ws;
+  CompiledBatchCsr compiled;
   std::vector<double> x;
   std::vector<double> scratch;
   std::vector<double> lane_buf;
 
-  // Carry for partial initialization: the last window the previous item
-  // this state processed in the current lease computed, the one window
-  // Eq. 4 seeds from (SpMM: the previous batch's last lane).
-  std::vector<double> prev_x;                 // n
-  std::vector<std::uint8_t> prev_active;      // SpMV
-  std::vector<std::uint64_t> prev_mask;       // SpMM, bit 0 per vertex
+  // Carry for partial initialization: the last lane of the previous batch
+  // this state processed in the current lease, the one window Eq. 4 seeds
+  // from.
+  std::vector<double> prev_x;            // n
+  std::vector<std::uint64_t> prev_mask;  // n, bit 0 per vertex
   std::size_t carry_part = SIZE_MAX;
   std::size_t carry_index = SIZE_MAX;
 };
 
 struct WorkItem {
   std::size_t part;
-  std::size_t index;  // window-in-part (SpMV) or batch-in-part (SpMM)
+  std::size_t index;  // batch-in-part
 };
 
-/// Lanes per SpMM batch (§4.4): vector_length clamped to the
-/// [1, kMaxSpmmLanes] the kernels handle. Batch j of a part with W windows
-/// holds the adjacent windows [j·L, min(j·L + L, W)), so each batch but
-/// the first partial-initializes from the last window of the batch before
-/// it, 1..L windows back.
-std::size_t batch_width(std::size_t vector_length) {
-  return std::clamp<std::size_t>(vector_length, 1, kMaxSpmmLanes);
+/// Lanes per batch (§4.4): 1 for kSpmv, otherwise vector_length clamped to
+/// the [1, kMaxSpmmLanes] the kernels handle. Batch j of a part with W
+/// windows holds the adjacent windows [j·L, min(j·L + L, W)), so each
+/// batch but the first partial-initializes from the last window of the
+/// batch before it, 1..L windows back.
+std::size_t batch_width(const PostmortemConfig& cfg) {
+  if (cfg.kernel == KernelKind::kSpmv) return 1;
+  return std::clamp<std::size_t>(cfg.vector_length, 1, kMaxSpmmLanes);
 }
 
 class PostmortemDriver {
@@ -79,23 +73,21 @@ class PostmortemDriver {
         spec_(set != nullptr ? set->spec() : paged->spec()),
         sink_(sink),
         cfg_(cfg),
-        result_(result) {
+        result_(result),
+        width_(batch_width(cfg)) {
     for_opts_ = par::ForOptions{cfg.partitioner, cfg.grain, cfg.pool};
     kernel_par_ =
         cfg.mode == ParallelMode::kWindow ? nullptr : &for_opts_;
 
-    // One work-item list spanning all parts, ordered by part then index, so
-    // consecutive items chain partial initialization and each part's items
-    // are contiguous.
+    // One work-item list spanning all parts, ordered by part then batch,
+    // so consecutive items chain partial initialization and each part's
+    // items are contiguous.
     const std::size_t num_parts =
         set != nullptr ? set->num_parts() : paged->num_parts();
     for (std::size_t p = 0; p < num_parts; ++p) {
       const MultiWindowGraph& part =
           set != nullptr ? set->part(p) : paged->part_meta(p);
-      const std::size_t width = batch_width(cfg.vector_length);
-      const std::size_t count = cfg.kernel == KernelKind::kSpmv
-                                    ? part.num_windows
-                                    : (part.num_windows + width - 1) / width;
+      const std::size_t count = (part.num_windows + width_ - 1) / width_;
       for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
     }
     // The leaf grid: kPagerank runs every item in order as one chain;
@@ -111,31 +103,26 @@ class PostmortemDriver {
     result_.iterations_per_window.assign(spec_.count, 0);
     result_.final_residuals.assign(spec_.count, 0.0);
     result_.residual_trajectories.assign(spec_.count, {});
-    const bool spmm = cfg_.kernel == KernelKind::kSpmm;
 
     if (paged_ == nullptr) {
-      if (spmm) {
-        // Every part's index before the fork, one part per task.
-        indexes_.resize(set_->num_parts());
-        par::parallel_for(
-            0, set_->num_parts(),
-            par::ForOptions{par::Partitioner::kSimple, 1, cfg_.pool},
-            [this](std::size_t p) {
-              index_part(set_->part(p), p, indexes_[p], nullptr);
-            });
-      }
+      // Every part's index before the fork, one part per task.
+      indexes_.resize(set_->num_parts());
+      par::parallel_for(
+          0, set_->num_parts(),
+          par::ForOptions{par::Partitioner::kSimple, 1, cfg_.pool},
+          [this](std::size_t p) {
+            index_part(set_->part(p), p, indexes_[p], nullptr);
+          });
       run_items(0, items_.size());
     } else {
       // Part-major: one pinned part at a time, so at most one part (plus
       // LRU leftovers under the budget) is resident. The pinned part's
       // index reuses one buffer, reserved for the largest part.
-      if (spmm) {
-        std::size_t most = 0;
-        for (std::size_t p = 0; p < paged_->num_parts(); ++p) {
-          most = std::max(most, paged_->part_meta(p).num_events);
-        }
-        paged_index_.runs.reserve(most);
+      std::size_t most = 0;
+      for (std::size_t p = 0; p < paged_->num_parts(); ++p) {
+        most = std::max(most, paged_->part_meta(p).num_events);
       }
+      paged_index_.runs.reserve(most);
       io::DecodeScratch decode;
       for (std::size_t lo = 0, hi = 0; lo < items_.size(); lo = hi) {
         while (hi < items_.size() && items_[hi].part == items_[lo].part) ++hi;
@@ -143,7 +130,7 @@ class PostmortemDriver {
         PagedMultiWindowSet::Lease lease = paged_->acquire(p);
         // Published to the workers by run_items' fork.
         paged_part_ = &lease.part();
-        if (spmm) index_part(*paged_part_, p, paged_index_, &decode);
+        index_part(*paged_part_, p, paged_index_, &decode);
         run_items(lo, hi);
         paged_part_ = nullptr;
       }
@@ -223,81 +210,21 @@ class PostmortemDriver {
   }
 
   void process(ThreadState& st, const WorkItem& item) {
-    if (cfg_.kernel == KernelKind::kSpmv) {
-      process_spmv(st, item);
-    } else {
-      process_spmm(st, item);
-    }
-  }
-
-  void process_spmv(ThreadState& st, const WorkItem& item) {
     const MultiWindowGraph& part = part_of(item);
-    const std::size_t w = part.first_window + item.index;
-    const std::size_t n = part.num_local();
-
-    st.x.resize(n);
-    st.scratch.resize(n);
-    {
-      PMPR_PHASE(obs::Phase::kBuild, "window.build", w);
-      compile_window(part, spec_.start(w), spec_.end(w), st.ws,
-                     st.compiled_win, kernel_par_, &st.decode_scratch);
-    }
-
-    const bool partial = cfg_.partial_init && item.index > 0 &&
-                         st.carry_part == item.part &&
-                         st.carry_index == item.index - 1 &&
-                         st.prev_x.size() == n;
-    {
-      PMPR_PHASE(obs::Phase::kInit, "window.init", w);
-      if (partial) {
-        partial_init(st.prev_x, st.prev_active, st.ws.active, st.ws.num_active,
-                     st.x);
-      } else {
-        full_init(st.ws.active, st.ws.num_active, st.x);
-      }
-    }
-
-    PagerankStats stats;
-    {
-      PMPR_PHASE(obs::Phase::kIterate, "window.iterate", w);
-      stats = pagerank_window_spmv(st.ws, st.compiled_win, st.x, st.scratch,
-                                   cfg_.pr, kernel_par_);
-    }
-    result_.iterations_per_window[w] = stats.iterations;
-    result_.final_residuals[w] = stats.final_residual;
-    result_.residual_trajectories[w] = std::move(stats.residuals);
-    obs::count(obs::Counter::kWindowsProcessed);
-    obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
-    {
-      PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
-      sink_.consume_mapped(w, part.local_to_global, st.x);
-      // Read-amplification denominator: rank bytes this window delivered.
-      obs::count(obs::Counter::kWindowOutputBytes, n * sizeof(double));
-    }
-
-    st.prev_x.swap(st.x);
-    st.prev_active.swap(st.ws.active);
-    st.carry_part = item.part;
-    st.carry_index = item.index;
-  }
-
-  void process_spmm(ThreadState& st, const WorkItem& item) {
-    const MultiWindowGraph& part = part_of(item);
-    const std::size_t width = batch_width(cfg_.vector_length);
     const std::size_t j = item.index;
-    assert(j * width < part.num_windows);
-    const std::size_t lanes = std::min(width, part.num_windows - j * width);
+    assert(j * width_ < part.num_windows);
+    const std::size_t lanes = std::min(width_, part.num_windows - j * width_);
     const std::size_t n = part.num_local();
 
     SpmmBatch batch;
     batch.lanes = lanes;
-    batch.first_window = part.first_window + j * width;
+    batch.first_window = part.first_window + j * width_;
 
     st.x.resize(n * lanes);
     st.scratch.resize(n * lanes);
     {
       PMPR_PHASE(obs::Phase::kBuild, "batch.build", batch.first_window);
-      compile_spmm_batch(index_of(item), batch, st.spmm_ws, st.compiled_batch,
+      compile_spmm_batch(index_of(item), batch, st.ws, st.compiled,
                          kernel_par_);
     }
 
@@ -309,18 +236,18 @@ class PostmortemDriver {
       if (partial) {
         // Every lane starts from the previous batch's last window, carried
         // as a one-lane batch.
-        spmm_partial_init(st.prev_x, 1, st.prev_mask, st.spmm_ws.active_mask,
-                          st.spmm_ws.num_active, st.x);
+        spmm_partial_init(st.prev_x, 1, st.prev_mask, st.ws.active_mask,
+                          st.ws.num_active, st.x);
       } else {
-        spmm_full_init(st.spmm_ws.active_mask, st.spmm_ws.num_active, st.x);
+        spmm_full_init(st.ws.active_mask, st.ws.num_active, st.x);
       }
     }
 
     SpmmStats stats;
     {
       PMPR_PHASE(obs::Phase::kIterate, "batch.iterate", batch.first_window);
-      stats = pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x, st.scratch,
-                            cfg_.pr, kernel_par_, cfg_.simd);
+      stats = pagerank_spmm(st.ws, st.compiled, st.x, st.scratch, cfg_.pr,
+                            kernel_par_, cfg_.simd);
     }
     obs::count(obs::Counter::kWindowsProcessed, lanes);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, batch.first_window,
@@ -346,7 +273,7 @@ class PostmortemDriver {
     st.prev_x.swap(st.lane_buf);
     st.prev_mask.resize(n);
     for (std::size_t v = 0; v < n; ++v) {
-      st.prev_mask[v] = st.spmm_ws.active_mask[v] >> (lanes - 1) & 1;
+      st.prev_mask[v] = st.ws.active_mask[v] >> (lanes - 1) & 1;
     }
     st.carry_part = item.part;
     st.carry_index = j;
@@ -354,17 +281,18 @@ class PostmortemDriver {
 
   const MultiWindowSet* set_ = nullptr;
   PagedMultiWindowSet* paged_ = nullptr;
-  /// The part the paged sweep has pinned and, for SpMM, its index. Written
-  /// between parts only (before the fork / after the join), read by the
-  /// workers.
+  /// The part the paged sweep has pinned and its index. Written between
+  /// parts only (before the fork / after the join), read by the workers.
   const MultiWindowGraph* paged_part_ = nullptr;
   WindowRunIndex paged_index_;
-  /// In RAM, every part's index (SpMM), built before the items run.
+  /// In RAM, every part's index, built before the items run.
   std::vector<WindowRunIndex> indexes_;
   const WindowSpec spec_;
   ResultSink& sink_;
   const PostmortemConfig& cfg_;
   RunResult& result_;
+  /// Lanes per batch (batch_width).
+  const std::size_t width_;
   par::ForOptions for_opts_;
   const par::ForOptions* kernel_par_ = nullptr;
   std::vector<WorkItem> items_;
@@ -385,12 +313,6 @@ std::size_t kernel_contexts(const PostmortemConfig& config) {
   return (config.pool != nullptr ? config.pool->num_threads()
                                  : par::ThreadPool::global().num_threads()) +
          1;
-}
-
-/// Lanes a batch holds at most (batch_width's clamp); 1 for SpMV.
-std::size_t working_lanes(const PostmortemConfig& config) {
-  return config.kernel == KernelKind::kSpmm ? batch_width(config.vector_length)
-                                            : 1;
 }
 
 /// Fills `result`'s memory fields (it must already hold its counter
@@ -431,8 +353,7 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
   result.compute_seconds = timer.seconds();
   result.counters = obs::counters_snapshot().delta_since(before);
   result.histograms = obs::histograms_snapshot().delta_since(hist_before);
-  MemoryEstimate est = estimate_memory(set, working_lanes(config));
-  if (config.kernel != KernelKind::kSpmm) est.index_bytes = 0;
+  const MemoryEstimate est = estimate_memory(set, batch_width(config));
   result.representation_bytes = est.representation_bytes;
   finish_memory_report(est.peak_bytes(kernel_contexts(config)), result);
   return result;
@@ -471,8 +392,8 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
   result.oocore_measured_resident_peak_bytes =
       ps.measured_resident_peak_bytes;
   // The paged peak: charged payload peak, the always-resident vertex maps,
-  // the working sets an in-RAM run of the same problem counts, and (SpMM)
-  // the index of the one part pinned at a time.
+  // the working sets an in-RAM run of the same problem counts, and the
+  // index of the one part pinned at a time.
   std::size_t meta_bytes = 0;
   std::size_t working = 0;
   std::size_t index = 0;
@@ -481,11 +402,9 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
     meta_bytes += meta.local_to_global.size() * sizeof(VertexId);
     working = std::max(working, working_bytes(meta.num_local(),
                                               meta.num_events,
-                                              working_lanes(config)));
-    if (config.kernel == KernelKind::kSpmm) {
-      index = std::max(index, window_run_index_bytes(meta.num_local(),
-                                                     meta.num_events));
-    }
+                                              batch_width(config)));
+    index = std::max(index, window_run_index_bytes(meta.num_local(),
+                                                   meta.num_events));
   }
   finish_memory_report(ps.peak_resident_bytes + meta_bytes + index +
                            kernel_contexts(config) * working,

@@ -4,11 +4,11 @@
 //     the same thread (§4.2, §4.3.1),
 //   * window-level / application-level / nested parallelism on the
 //     work-stealing pool (§4.3),
-//   * the SpMV or SpMM-inspired kernel (§4.4), always over the
-//     batch-compiled adjacency (pagerank/batch_csr.hpp). An SpMM batch
-//     holds up to vector_length adjacent windows of one part, and each
-//     batch after the part's first seeds every lane from the last window
-//     of the batch before it.
+//   * the SpMV or SpMM-inspired kernel (§4.4), one SpMM kernel over the
+//     batch-compiled adjacency (pagerank/batch_csr.hpp). A batch holds up
+//     to vector_length adjacent windows of one part (one window for
+//     kSpmv), and each batch after the part's first seeds every lane from
+//     the last window of the batch before it.
 #pragma once
 
 #include "exec/config.hpp"

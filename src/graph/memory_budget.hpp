@@ -6,7 +6,7 @@
 // encoding·(Σ_w |V_w| + 2·|E_w|) plus the intermediate PageRank vectors.
 // estimate_memory measures both terms for a built set; the postmortem
 // runner reports them as RunResult::representation_bytes and
-// peak_memory_bytes. SpMM runs also hold window-run indexes
+// peak_memory_bytes. Runs also hold window-run indexes
 // (pagerank/batch_csr.hpp): all parts' in RAM, the pinned part's when
 // paged. Paged runs add working_bytes' term and the largest part's index
 // to their measured resident peak, so both storage kinds report
@@ -26,9 +26,8 @@ struct MemoryEstimate {
   /// Bytes of the largest single part (the unit that must be resident
   /// while its windows compute).
   std::size_t largest_part_bytes = 0;
-  /// Σ over parts of window_run_index_bytes: an in-RAM SpMM run holds
-  /// every part's index at once. The runner drops it for SpMV, which
-  /// builds none.
+  /// Σ over parts of window_run_index_bytes: an in-RAM run holds every
+  /// part's index at once, whatever its kernel.
   std::size_t index_bytes = 0;
   /// The largest per-execution-context working set over the parts
   /// (working_bytes).

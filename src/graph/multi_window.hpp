@@ -46,7 +46,8 @@ struct MultiWindowGraph {
   /// zero-copy view into the paged store's mmap, set only on the store's
   /// leased parts (graph/paged_multi_window.hpp). When set, `in` is empty
   /// and the batch compile's row walker streams from the chunks; code that
-  /// reads `in` directly (compute_window_state) rejects such a part.
+  /// reads `in` directly (the test oracle's reference kernels) rejects
+  /// such a part.
   std::shared_ptr<const io::CompressedTemporalCsr> in_compressed;
 
   [[nodiscard]] bool is_compressed() const { return in_compressed != nullptr; }

@@ -20,31 +20,6 @@
 
 namespace pmpr {
 
-/// Calls `fn(u)` once per distinct neighbor u in a ⟨neighbor, time⟩-sorted
-/// row (given as parallel col/time spans) with at least one event in
-/// [ts, te]. Shared by TemporalCsr::for_each_active_neighbor and the
-/// window compile (pagerank/batch_csr.cpp), whose row walker also hands it
-/// rows decoded into io::DecodeScratch without materializing a CSR.
-template <typename Fn>
-void for_each_active_neighbor_in_row(std::span<const VertexId> cols,
-                                     std::span<const Timestamp> times,
-                                     Timestamp ts, Timestamp te, Fn&& fn) {
-  std::size_t i = 0;
-  const std::size_t n = cols.size();
-  while (i < n) {
-    const VertexId u = cols[i];
-    bool active = false;
-    // Scan this run; timestamps within a run are ascending, so we could
-    // stop testing once past te (later events in the run are later).
-    while (i < n && cols[i] == u) {
-      const Timestamp t = times[i];
-      if (t >= ts && t <= te) active = true;
-      ++i;
-    }
-    if (active) fn(u);
-  }
-}
-
 class TemporalCsr {
  public:
   TemporalCsr() = default;
@@ -98,8 +73,22 @@ class TemporalCsr {
   template <typename Fn>
   void for_each_active_neighbor(VertexId v, Timestamp ts, Timestamp te,
                                 Fn&& fn) const {
-    for_each_active_neighbor_in_row(row_cols(v), row_times(v), ts, te,
-                                    std::forward<Fn>(fn));
+    const auto cols = row_cols(v);
+    const auto times = row_times(v);
+    std::size_t i = 0;
+    const std::size_t n = cols.size();
+    while (i < n) {
+      const VertexId u = cols[i];
+      bool active = false;
+      // Scan this run; timestamps within a run are ascending, so we could
+      // stop testing once past te (later events in the run are later).
+      while (i < n && cols[i] == u) {
+        const Timestamp t = times[i];
+        if (t >= ts && t <= te) active = true;
+        ++i;
+      }
+      if (active) fn(u);
+    }
   }
 
   /// Variant of for_each_active_neighbor that binary-searches each

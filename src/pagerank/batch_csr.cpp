@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "obs/counters.hpp"
+#include "util/bits.hpp"
 #include "util/check.hpp"
 
 namespace pmpr {
@@ -33,74 +34,56 @@ bool chunk_pruned(const io::ChunkMeta& m, Timestamp prune_lo,
 ///     so whatever the caller pre-set for them must equal the empty-row
 ///     result (an out-of-extent event joins no lane or window). Decoded and
 ///     pruned chunks and decoded bytes go to the obs counters once per
-///     range, never per chunk.
+///     walk, never per chunk.
 ///
 /// The same per-row callback sees raw and decoded rows alike, which is
-/// what makes the two storage forms compile bit-identically. Non-null
-/// `parallel` splits rows (or chunks: rows never span chunks, so
-/// chunk-parallel is row-parallel) over a parallel_for_range with one
-/// scratch per callback; `row` must then write row-owned slots only, or
-/// scatter atomically. Null runs serially on `scratch` (or a local one).
+/// what makes the two storage forms compile bit-identically. Runs serially
+/// on `scratch` (or a local one); build_window_run_index is its one caller.
 template <typename Row>
 void for_each_row(const MultiWindowGraph& part, Timestamp prune_lo,
-                  Timestamp prune_hi, const par::ForOptions* parallel,
-                  io::DecodeScratch* scratch, Row&& row) {
+                  Timestamp prune_hi, io::DecodeScratch* scratch, Row&& row) {
   const io::CompressedTemporalCsr* packed = part.in_compressed.get();
   PMPR_CHECK_MSG(packed == nullptr || packed->num_rows() == part.num_local(),
                  "compressed part covers " << packed->num_rows()
                                            << " rows, local space has "
                                            << part.num_local());
-  const auto range = [&](std::size_t lo, std::size_t hi,
-                         io::DecodeScratch& sc) {
-    if (packed == nullptr) {
-      for (std::size_t v = lo; v < hi; ++v) {
-        const auto u = static_cast<VertexId>(v);
-        row(v, part.in.row_cols(u), part.in.row_times(u));
-      }
-      return;
+  if (packed == nullptr) {
+    for (std::size_t v = 0; v < part.num_local(); ++v) {
+      const auto u = static_cast<VertexId>(v);
+      row(v, part.in.row_cols(u), part.in.row_times(u));
     }
-    std::uint64_t decoded = 0;
-    std::uint64_t pruned = 0;
-    std::uint64_t bytes = 0;
-    for (std::size_t c = lo; c < hi; ++c) {
-      const io::ChunkMeta& m = packed->chunk(c);
-      if (chunk_pruned(m, prune_lo, prune_hi)) {
-        ++pruned;
-        continue;
-      }
-      ++decoded;
-      bytes += m.byte_size;
-      packed->decode_chunk(c, sc);
-      for (std::size_t r = 0; r < m.num_rows; ++r) {
-        const std::size_t b = sc.row_ptr[r];
-        const std::size_t len = sc.row_ptr[r + 1] - b;
-        row(m.first_row + r,
-            std::span<const VertexId>(sc.cols.data() + b, len),
-            std::span<const Timestamp>(sc.times.data() + b, len));
-      }
-    }
-    obs::count(obs::Counter::kChunksDecoded, decoded);
-    obs::count(obs::Counter::kChunksPruned, pruned);
-    obs::count(obs::Counter::kBytesDecoded, bytes);
-  };
-  const std::size_t units =
-      packed != nullptr ? packed->num_chunks() : part.num_local();
-  if (parallel != nullptr) {
-    par::parallel_for_range(0, units, *parallel,
-                            [&](std::size_t lo, std::size_t hi) {
-                              io::DecodeScratch local;
-                              range(lo, hi, local);
-                            });
-  } else {
-    io::DecodeScratch local;
-    range(0, units, scratch != nullptr ? *scratch : local);
+    return;
   }
+  io::DecodeScratch local;
+  io::DecodeScratch& sc = scratch != nullptr ? *scratch : local;
+  std::uint64_t decoded = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t bytes = 0;
+  for (std::size_t c = 0; c < packed->num_chunks(); ++c) {
+    const io::ChunkMeta& m = packed->chunk(c);
+    if (chunk_pruned(m, prune_lo, prune_hi)) {
+      ++pruned;
+      continue;
+    }
+    ++decoded;
+    bytes += m.byte_size;
+    packed->decode_chunk(c, sc);
+    for (std::size_t r = 0; r < m.num_rows; ++r) {
+      const std::size_t b = sc.row_ptr[r];
+      const std::size_t len = sc.row_ptr[r + 1] - b;
+      row(m.first_row + r, std::span<const VertexId>(sc.cols.data() + b, len),
+          std::span<const Timestamp>(sc.times.data() + b, len));
+    }
+  }
+  obs::count(obs::Counter::kChunksDecoded, decoded);
+  obs::count(obs::Counter::kChunksPruned, pruned);
+  obs::count(obs::Counter::kBytesDecoded, bytes);
 }
 
 /// `parallel` when a row loop over `units` would split into more than one
 /// chunk under it, null otherwise. A loop of one chunk runs on the caller
-/// anyway, so the compiles then take their serial form: plain stores
-/// instead of atomics (and one pass for the cut).
+/// anyway, so the cut then takes its serial form: one pass with plain
+/// stores instead of atomics.
 const par::ForOptions* split_options(const par::ForOptions* parallel,
                                      std::size_t units) {
   return parallel != nullptr && par::chunk_width(*parallel, units) < units
@@ -294,39 +277,6 @@ void check_lanes(const SpmmBatch& batch) {
                                      << kMaxSpmmLanes << "]");
 }
 
-/// SpMV pass A for one row: plain stores on the serial path, relaxed
-/// atomics on the parallel one (the ownership split of cut_parallel).
-template <bool Atomic>
-std::size_t scatter_window_row(Timestamp ts, Timestamp te, WindowState& state,
-                               std::size_t v, std::span<const VertexId> cols,
-                               std::span<const Timestamp> times) {
-  std::size_t entries = 0;
-  for_each_active_neighbor_in_row(cols, times, ts, te, [&](VertexId u) {
-    ++entries;
-    if constexpr (Atomic) {
-      std::atomic_ref<std::uint32_t> deg(state.out_degree[u]);
-      // relaxed: pure commutative count; published by the join.
-      deg.fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<std::uint8_t> act(state.active[u]);
-      // relaxed: idempotent flag; published by the join.
-      act.store(1, std::memory_order_relaxed);
-    } else {
-      ++state.out_degree[u];
-      state.active[u] = 1;
-    }
-  });
-  if (entries > 0) {
-    if constexpr (Atomic) {
-      std::atomic_ref<std::uint8_t> act(state.active[v]);
-      // relaxed: idempotent flag; published by the join.
-      act.store(1, std::memory_order_relaxed);
-    } else {
-      state.active[v] = 1;
-    }
-  }
-  return entries;
-}
-
 }  // namespace
 
 void build_window_run_index(const MultiWindowGraph& part,
@@ -345,8 +295,8 @@ void build_window_run_index(const MultiWindowGraph& part,
   out.runs.reserve(part.num_events);
   const std::size_t end = first_window + num_windows;
   // Rows of a pruned chunk are never visited: their counts stay 0.
-  for_each_row(part, spec.start(first_window), spec.end(end - 1), nullptr,
-               scratch, [&](std::size_t v, auto cols, auto times) {
+  for_each_row(part, spec.start(first_window), spec.end(end - 1), scratch,
+               [&](std::size_t v, auto cols, auto times) {
                  const std::size_t before = out.runs.size();
                  index_row(spec, first_window, end, cols, times, out.runs);
                  out.row_ptr[v + 1] = out.runs.size() - before;
@@ -422,47 +372,6 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
       batch.window_of_lane(batch.lanes - 1) + 1 - batch.first_window, index,
       scratch);
   compile_spmm_batch(index, batch, state, out, parallel);
-}
-
-void compile_window(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
-                    WindowState& state, CompiledWindowCsr& out,
-                    const par::ForOptions* parallel,
-                    io::DecodeScratch* scratch) {
-  const std::size_t n = part.num_local();
-  state.resize(n);
-  out.row_ptr.assign(n + 1, 0);
-  out.active_rows.clear();
-  out.dangling_rows.clear();
-
-  const par::ForOptions* split = split_options(
-      parallel, part.is_compressed() ? part.in_compressed->num_chunks() : n);
-  for_each_row(part, ts, te, split, scratch,
-               [&](std::size_t v, auto cols, auto times) {
-                 out.row_ptr[v + 1] =
-                     split != nullptr
-                         ? scatter_window_row<true>(ts, te, state, v, cols,
-                                                    times)
-                         : scatter_window_row<false>(ts, te, state, v, cols,
-                                                     times);
-               });
-  out.nbr.resize(counts_to_offsets(out.row_ptr));
-  for_each_row(part, ts, te, split, scratch,
-               [&](std::size_t v, auto cols, auto times) {
-                 std::size_t at = out.row_ptr[v];
-                 for_each_active_neighbor_in_row(
-                     cols, times, ts, te,
-                     [&](VertexId u) { out.nbr[at++] = u; });
-                 assert(at == out.row_ptr[v + 1]);
-               });
-
-  for (std::size_t v = 0; v < n; ++v) {
-    if (state.active[v] == 0) continue;
-    ++state.num_active;
-    out.active_rows.push_back(static_cast<VertexId>(v));
-    if (state.out_degree[v] == 0) {
-      out.dangling_rows.push_back(static_cast<VertexId>(v));
-    }
-  }
 }
 
 }  // namespace pmpr

@@ -1,5 +1,6 @@
 // Batch-compiled adjacency: the per-iteration-invariant structure of an
-// SpMM batch (or a single window) compiled into the representation once.
+// SpMM batch (one window for the kSpmv kernel's one-lane batches) compiled
+// into the representation once.
 //
 // The reference kernels (kept as a test oracle under tests/oracle/)
 // re-derive each event's lane membership (lanes_containing ->
@@ -41,6 +42,7 @@
 #include "graph/multi_window.hpp"
 #include "graph/window.hpp"
 #include "pagerank/window_state.hpp"
+#include "par/parallel_for.hpp"
 
 namespace pmpr {
 
@@ -146,32 +148,5 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
                         CompiledBatchCsr& out,
                         const par::ForOptions* parallel = nullptr,
                         io::DecodeScratch* scratch = nullptr);
-
-/// Compiled form of a single window (the SpMV path): distinct in-neighbors
-/// with at least one event in the window, plus the compacted active and
-/// dangling vertex lists.
-struct CompiledWindowCsr {
-  std::vector<std::size_t> row_ptr;  ///< n + 1 offsets into nbr.
-  std::vector<VertexId> nbr;         ///< Distinct active in-neighbors.
-  std::vector<VertexId> active_rows;   ///< Rows with state.active != 0.
-  std::vector<VertexId> dangling_rows;  ///< Active rows with out-degree 0.
-
-  [[nodiscard]] std::size_t num_rows() const {
-    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
-  }
-  [[nodiscard]] std::span<const VertexId> row_nbr(VertexId v) const {
-    return {nbr.data() + row_ptr[v], nbr.data() + row_ptr[v + 1]};
-  }
-};
-
-/// Builds `state` and `out` for window [ts, te] together (state identical
-/// to compute_window_state's result) from the part's rows, with no index:
-/// compressed parts stream chunk by chunk with [ts, te] pruning, like
-/// build_window_run_index. Like the cut, it scatters serially with plain
-/// stores when `parallel` is null or its row loop would run as one chunk.
-void compile_window(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
-                    WindowState& state, CompiledWindowCsr& out,
-                    const par::ForOptions* parallel = nullptr,
-                    io::DecodeScratch* scratch = nullptr);
 
 }  // namespace pmpr

@@ -47,6 +47,10 @@ namespace detail {
 SpmmSweep spmm_sweep_scalar;
 SpmmSweep spmm_sweep_avx2;
 SpmmSweep spmm_sweep_avx512;
+/// One-lane batches only: one accumulator per row and no mask reads. It
+/// performs the scalar sweep's operations at one lane, so every ISA runs
+/// it for one-lane batches (pagerank_spmm).
+SpmmSweep spmm_sweep_one_lane;
 }  // namespace detail
 
 }  // namespace pmpr

@@ -1,5 +1,6 @@
-// Scalar (ctz-loop) SpMM sweep — the always-built fallback and the
-// bit-identity reference for the AVX2/AVX-512 kernels. See simd_sweep.hpp
+// Scalar SpMM sweeps: the ctz-loop sweep — the always-built fallback and
+// the bit-identity reference for the AVX2/AVX-512 kernels — and the
+// one-lane sweep every ISA runs for one-lane batches. See simd_sweep.hpp
 // for the contract.
 #include <algorithm>
 #include <cmath>
@@ -86,6 +87,39 @@ std::uint64_t spmm_sweep_scalar(const CompiledBatchCsr& compiled,
       }
     }
   }
+  return edges;
+}
+
+std::uint64_t spmm_sweep_one_lane(const CompiledBatchCsr& compiled,
+                                  const SpmmWindowState& state,
+                                  const double* x, double* x_next,
+                                  const double* base, double one_minus_alpha,
+                                  std::uint64_t /*live_mask*/, double* diff,
+                                  std::size_t lo, std::size_t hi) {
+  // At one lane every active row, entry and sweep call has lane 0 set
+  // (masks are never zero, and the driver sweeps only while a lane lives),
+  // so no mask is read and the scalar sweep's operations remain, in its
+  // order.
+  const std::uint32_t* deg = state.out_degree.data();
+  const VertexId* nbr = compiled.nbr.data();
+  const std::size_t* row_ptr = compiled.row_ptr.data();
+  double d = *diff;
+  std::uint64_t edges = 0;
+  for (std::size_t r = lo; r < hi; ++r) {
+    const VertexId v = compiled.active_rows[r];
+    const std::size_t e_lo = row_ptr[v];
+    const std::size_t e_hi = row_ptr[v + 1];
+    edges += e_hi - e_lo;
+    double acc = *base;
+    for (std::size_t i = e_lo; i < e_hi; ++i) {
+      const VertexId u = nbr[i];
+      acc = std::fma(one_minus_alpha, x[u] / static_cast<double>(deg[u]),
+                     acc);
+    }
+    d += std::abs(acc - x[v]);
+    x_next[v] = acc;
+  }
+  *diff = d;
   return edges;
 }
 

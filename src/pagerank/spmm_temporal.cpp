@@ -45,8 +45,13 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   assert(x.size() == n * lanes && scratch.size() == n * lanes);
   assert(state.lanes == lanes);
 
-  const SimdIsa isa = resolve_simd(simd);
-  SpmmSweep* const sweep_fn = select_spmm_sweep(isa);
+  // A one-lane batch (the kSpmv kernel) has no lanes to vectorize across:
+  // every ISA runs the one-lane sweep, counted as a scalar sweep.
+  const bool one_lane = lanes == 1;
+  const SimdIsa resolved = resolve_simd(simd);
+  const SimdIsa isa = one_lane ? SimdIsa::kScalar : resolved;
+  SpmmSweep* const sweep_fn =
+      one_lane ? detail::spmm_sweep_one_lane : select_spmm_sweep(isa);
   const obs::Counter isa_counter =
       isa == SimdIsa::kAvx512  ? obs::Counter::kSimdSweepAvx512
       : isa == SimdIsa::kAvx2 ? obs::Counter::kSimdSweepAvx2
@@ -72,6 +77,13 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   const std::size_t rows = compiled.active_rows.size();
   const std::size_t dangling_rows = compiled.dangling_rows.size();
   auto dangling_of = [&](const double* cur, std::uint64_t live_mask) {
+    if (one_lane) {
+      // A serial plain sum: every listed row dangles in the one live lane.
+      double sum = 0.0;
+      for (const VertexId v : compiled.dangling_rows) sum += cur[v];
+      obs::count(obs::Counter::kDanglingScanned, dangling_rows);
+      return LaneVec(1, sum);
+    }
     if (parallel != nullptr) {
       return par::parallel_reduce(
           0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
@@ -88,7 +100,20 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
                    const LaneVec& base, std::uint64_t live_mask,
                    LaneVec& diff) {
     obs::count(isa_counter);
-    if (parallel != nullptr) {
+    if (parallel != nullptr && one_lane) {
+      diff[0] = par::parallel_reduce(
+          0, rows, 0.0, *parallel,
+          [&](std::size_t lo, std::size_t hi) {
+            double local = 0.0;
+            const std::uint64_t edges =
+                sweep_fn(compiled, state, cur.data(), next.data(),
+                         base.data(), one_minus_alpha, live_mask, &local, lo,
+                         hi);
+            obs::count(obs::Counter::kEdgesTraversed, edges);
+            return local;
+          },
+          [](double a, double b) { return a + b; });
+    } else if (parallel != nullptr) {
       diff = par::parallel_reduce(
           0, rows, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {

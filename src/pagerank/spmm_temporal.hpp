@@ -6,6 +6,8 @@
 // vector. The PageRank vectors are lane-interleaved (x[v*lanes + k]),
 // turning the mostly-random per-window vector accesses into mostly-regular
 // ones — the SpMM memory-traffic win the paper borrows from linear algebra.
+// The paper's SpMV kernel is this kernel at VecLen = 1: the runner's
+// KernelKind::kSpmv runs one-lane batches.
 //
 // The postmortem runner's lanes are adjacent windows (G_jL .. G_jL+L-1), so
 // the lanes of one batch share most of their edges and a compiled entry
@@ -39,9 +41,10 @@ struct SpmmStats {
 /// compile_spmm_batch call. Non-null `parallel` runs each shared sweep as a
 /// parallel_for over rows. `simd` picks the sweep ISA (kAuto = best the CPU
 /// supports; forced modes throw InvariantError when unsupported — see
-/// simd_dispatch.hpp). Every ISA gives bit-identical results, residuals,
-/// and iteration counts to the reference kernel kept as a test oracle
-/// (tests/oracle/) when run serially.
+/// simd_dispatch.hpp); a one-lane batch runs the one-lane sweep on every
+/// ISA, and its dangling scan is serial. Every ISA gives bit-identical
+/// results, residuals, and iteration counts to the reference kernel kept
+/// as a test oracle (tests/oracle/) when run serially.
 SpmmStats pagerank_spmm(const SpmmWindowState& state,
                         const CompiledBatchCsr& compiled, std::span<double> x,
                         std::span<double> scratch,

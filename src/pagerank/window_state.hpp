@@ -1,38 +1,15 @@
-// Per-window derived state over a multi-window graph's local vertex space:
-// distinct out-degrees and the active vertex set, computed by one scatter
-// pass over the reverse temporal CSR. Computed once per window (or once per
-// SpMM batch for all lanes together, by compile_spmm_batch's cut in
-// pagerank/batch_csr.hpp) and reused across power iterations.
+// Per-batch derived state over a multi-window graph's local vertex space:
+// lane-interleaved distinct out-degrees and one activity mask word per
+// vertex, built for all lanes of a batch together by compile_spmm_batch's
+// cut (pagerank/batch_csr.hpp) and reused across power iterations. The
+// kSpmv kernel's windows are batches of one lane.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "graph/multi_window.hpp"
-#include "graph/window.hpp"
-#include "par/parallel_for.hpp"
-#include "util/bits.hpp"
-
 namespace pmpr {
-
-/// State of one window (SpMV path).
-struct WindowState {
-  std::vector<std::uint32_t> out_degree;  ///< Distinct out-neighbors, local.
-  std::vector<std::uint8_t> active;  ///< 1 iff vertex has an edge in window.
-  std::size_t num_active = 0;
-
-  void resize(std::size_t n) {
-    out_degree.assign(n, 0);
-    active.assign(n, 0);
-    num_active = 0;
-  }
-};
-
-/// Computes degrees/activity for window [ts, te] of `part`. If `parallel`
-/// is non-null the scatter runs as a parallel_for (atomic increments).
-void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
-                          Timestamp te, WindowState& out,
-                          const par::ForOptions* parallel = nullptr);
 
 /// Widest SpMM batch the kernels support: a lane mask is one
 /// std::uint64_t (util/bits.hpp). The vector-length ablation's 64 lanes

@@ -302,34 +302,24 @@ TEST(PostmortemRunner, PagedPeakCountsWorkingSet) {
 }
 
 TEST(PostmortemRunner, PagedSpmmDecodesEachPartOnce) {
-  // A paged SpMM run indexes each part it pins in one walk and cuts every
-  // batch from that index, so it decodes each chunk with entries exactly
-  // once, however many batches the part holds (here 6 parts of at least
-  // 4 batches each, on 2 workers).
+  // A paged run indexes each part it pins in one walk and cuts every batch
+  // from that index, so it decodes each chunk with entries exactly once,
+  // however many batches the part holds (here 6 parts of at least 4
+  // 16-lane batches each, on 2 workers). kSpmv's one-lane batches are one
+  // per window.
   const TemporalEdgeList events = test::random_events(67, 60, 5000, 40000);
   const WindowSpec spec = WindowSpec::cover(0, 40000, 6000, 100);
   par::ThreadPool pool(2);
-  PostmortemConfig cfg = base_config();
-  cfg.mode = ParallelMode::kNested;
-  cfg.kernel = KernelKind::kSpmm;
-  cfg.vector_length = 16;
-  cfg.num_multi_windows = 6;
-  cfg.pool = &pool;
   PagedMultiWindowSet::Options opts;
   opts.num_parts = 6;
   opts.target_chunk_entries = 256;
   opts.budget_bytes = 0;
   const auto paged = PagedMultiWindowSet::build(events, spec, opts);
 
-  const bool counters = obs::set_counters_enabled(true);
-  NullSink sink;
-  const RunResult r = run_postmortem_paged(*paged, sink, cfg);
-  obs::set_counters_enabled(counters);
-
   std::uint64_t chunk_bytes = 0;
   std::uint64_t chunks = 0;
   for (std::size_t p = 0; p < paged->num_parts(); ++p) {
-    ASSERT_GT(paged->part_meta(p).num_windows, 3 * cfg.vector_length);
+    ASSERT_GT(paged->part_meta(p).num_windows, 3 * 16u);
     const auto lease = paged->acquire(p);
     const io::CompressedTemporalCsr& packed = *lease.part().in_compressed;
     for (std::size_t c = 0; c < packed.num_chunks(); ++c) {
@@ -339,8 +329,23 @@ TEST(PostmortemRunner, PagedSpmmDecodesEachPartOnce) {
     }
   }
   ASSERT_GT(chunks, paged->num_parts());
-  EXPECT_EQ(r.counters[obs::Counter::kBytesDecoded], chunk_bytes);
-  EXPECT_EQ(r.counters[obs::Counter::kChunksDecoded], chunks);
+
+  for (const KernelKind kernel : {KernelKind::kSpmm, KernelKind::kSpmv}) {
+    PostmortemConfig cfg = base_config();
+    cfg.mode = ParallelMode::kNested;
+    cfg.kernel = kernel;
+    cfg.vector_length = 16;
+    cfg.num_multi_windows = 6;
+    cfg.pool = &pool;
+    const bool counters = obs::set_counters_enabled(true);
+    NullSink sink;
+    const RunResult r = run_postmortem_paged(*paged, sink, cfg);
+    obs::set_counters_enabled(counters);
+    EXPECT_EQ(r.counters[obs::Counter::kBytesDecoded], chunk_bytes)
+        << to_string(kernel);
+    EXPECT_EQ(r.counters[obs::Counter::kChunksDecoded], chunks)
+        << to_string(kernel);
+  }
 }
 
 TEST(PostmortemRunner, PrebuiltMatchesFromEvents) {
@@ -364,6 +369,8 @@ TEST(PostmortemRunner, PrebuiltMatchesFromEvents) {
 }
 
 TEST(PostmortemRunner, VectorLengthOneEqualsSpmv) {
+  // kSpmv runs one-lane SpMM batches: the same ranks, bit for bit, and the
+  // same iteration count in every window.
   const TemporalEdgeList events = test::random_events(41, 40, 2000, 10000);
   const WindowSpec spec = WindowSpec::cover(0, 10000, 3000, 800);
   PostmortemConfig spmm = base_config();
@@ -374,12 +381,11 @@ TEST(PostmortemRunner, VectorLengthOneEqualsSpmv) {
 
   StoreAllSink a(spec.count);
   StoreAllSink b(spec.count);
-  run_postmortem(events, spec, a, spmm);
-  run_postmortem(events, spec, b, spmv);
+  const RunResult ra = run_postmortem(events, spec, a, spmm);
+  const RunResult rb = run_postmortem(events, spec, b, spmv);
+  EXPECT_EQ(ra.iterations_per_window, rb.iterations_per_window);
   for (std::size_t w = 0; w < spec.count; ++w) {
-    ASSERT_LT(test::linf_diff(a.dense(w, events.num_vertices()),
-                              b.dense(w, events.num_vertices())),
-              1e-10);
+    ASSERT_EQ(a.window(w), b.window(w)) << "window " << w;
   }
 }
 

@@ -3,20 +3,23 @@
 //
 // They are the paper-literal time-filtered form of §4.3–4.4: every power
 // iteration walks the part's raw reverse temporal CSR and re-derives each
-// event's window (SpMV) or lane membership (SpMM). The compiled kernels
-// that the postmortem runner executes (pagerank/spmv_temporal.hpp,
-// pagerank/spmm_temporal.hpp over pagerank/batch_csr.hpp) must match them
-// bit for bit when run serially (tests/pagerank/oracle_differential_test.cpp).
-// They read the raw arrays: compute_spmm_state, like compute_window_state,
-// throws InvariantError on a compressed part. spmm_partial_init_lane is
-// the per-lane form of Eq. 4 that pagerank/partial_init.hpp's batch-wide
-// spmm_partial_init must match bit for bit. compile_spmm_batch is the
-// per-event compile every cut from a window-run index
-// (pagerank/batch_csr.hpp) must match bit for bit.
+// event's window (SpMV) or lane membership (SpMM). The compiled kernel
+// that the postmortem runner executes (pagerank/spmm_temporal.hpp over
+// pagerank/batch_csr.hpp, one-lane batches for kSpmv) must match the SpMM
+// reference bit for bit when run serially
+// (tests/pagerank/oracle_differential_test.cpp). The SpMV reference sums
+// x / deg before scaling by 1 − α, so it agrees with one-lane batches to
+// rounding only. They read the raw arrays: compute_spmm_state, like
+// compute_window_state, throws InvariantError on a compressed part.
+// spmm_partial_init_lane is the per-lane form of Eq. 4 that
+// pagerank/partial_init.hpp's batch-wide spmm_partial_init must match bit
+// for bit. compile_spmm_batch is the per-event compile every cut from a
+// window-run index (pagerank/batch_csr.hpp) must match bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "graph/multi_window.hpp"
 #include "pagerank/batch_csr.hpp"
@@ -25,6 +28,27 @@
 #include "pagerank/window_state.hpp"
 
 namespace pmpr::oracle {
+
+/// State of one window (the SpMV reference's form of SpmmWindowState).
+struct WindowState {
+  std::vector<std::uint32_t> out_degree;  ///< Distinct out-neighbors, local.
+  std::vector<std::uint8_t> active;  ///< 1 iff vertex has an edge in window.
+  std::size_t num_active = 0;
+
+  void resize(std::size_t n) {
+    out_degree.assign(n, 0);
+    active.assign(n, 0);
+    num_active = 0;
+  }
+};
+
+/// Computes degrees/activity for window [ts, te] of `part` by one scatter
+/// pass over its raw in-CSR. If `parallel` is non-null the scatter runs as
+/// a parallel_for (atomic increments). Throws InvariantError on a
+/// compressed part.
+void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
+                          Timestamp te, WindowState& out,
+                          const par::ForOptions* parallel = nullptr);
 
 /// Mask of the lanes of `batch` whose window contains timestamp `t`.
 /// A batch's lanes are evenly spaced windows of one spec, so they form one

@@ -162,87 +162,5 @@ TEST(CompileSpmmBatch, ReusedOutputIsReset) {
   EXPECT_EQ(state.out_degree, fresh_state.out_degree);
 }
 
-TEST(CompileWindow, StateIdenticalToComputeWindowState) {
-  const Fixture f(606);
-  const auto& part = f.set.part(0);
-
-  for (std::size_t w = 0; w < f.spec.count; w += 3) {
-    WindowState ref;
-    compute_window_state(part, f.spec.start(w), f.spec.end(w), ref);
-
-    WindowState state;
-    CompiledWindowCsr compiled;
-    compile_window(part, f.spec.start(w), f.spec.end(w), state, compiled);
-
-    EXPECT_EQ(state.out_degree, ref.out_degree) << "window " << w;
-    EXPECT_EQ(state.active, ref.active) << "window " << w;
-    EXPECT_EQ(state.num_active, ref.num_active) << "window " << w;
-  }
-}
-
-TEST(CompileWindow, NeighborsMatchTimeFilteredScan) {
-  const Fixture f(707);
-  const auto& part = f.set.part(0);
-  const std::size_t w = f.spec.count / 2;
-
-  WindowState state;
-  CompiledWindowCsr compiled;
-  compile_window(part, f.spec.start(w), f.spec.end(w), state, compiled);
-
-  for (VertexId v = 0; v < part.num_local(); ++v) {
-    std::vector<VertexId> expect;
-    part.in.for_each_active_neighbor(v, f.spec.start(w), f.spec.end(w),
-                                     [&](VertexId u) { expect.push_back(u); });
-    const auto nbr = compiled.row_nbr(v);
-    ASSERT_EQ(std::vector<VertexId>(nbr.begin(), nbr.end()), expect)
-        << "v=" << v;
-  }
-
-  std::vector<VertexId> active;
-  std::vector<VertexId> dangling;
-  for (VertexId v = 0; v < part.num_local(); ++v) {
-    if (state.active[v] == 0) continue;
-    active.push_back(v);
-    if (state.out_degree[v] == 0) dangling.push_back(v);
-  }
-  EXPECT_EQ(compiled.active_rows, active);
-  EXPECT_EQ(compiled.dangling_rows, dangling);
-}
-
-TEST(CompileWindow, ParallelMatchesSequential) {
-  const Fixture f(808);
-  const auto& part = f.set.part(0);
-  const std::size_t w = 1;
-
-  WindowState seq_state;
-  CompiledWindowCsr seq;
-  compile_window(part, f.spec.start(w), f.spec.end(w), seq_state, seq);
-
-  par::ForOptions opts{par::Partitioner::kAuto, 2, nullptr};
-  WindowState par_state;
-  CompiledWindowCsr parl;
-  compile_window(part, f.spec.start(w), f.spec.end(w), par_state, parl,
-                 &opts);
-
-  EXPECT_EQ(seq.row_ptr, parl.row_ptr);
-  EXPECT_EQ(seq.nbr, parl.nbr);
-  EXPECT_EQ(seq.active_rows, parl.active_rows);
-  EXPECT_EQ(seq.dangling_rows, parl.dangling_rows);
-  EXPECT_EQ(seq_state.out_degree, par_state.out_degree);
-}
-
-TEST(CompileWindow, EmptyWindow) {
-  const Fixture f(909);
-  const auto& part = f.set.part(0);
-  WindowState state;
-  CompiledWindowCsr compiled;
-  // A range before every event: nothing is active, nothing is compiled.
-  compile_window(part, -2000, -1000, state, compiled);
-  EXPECT_EQ(state.num_active, 0u);
-  EXPECT_TRUE(compiled.nbr.empty());
-  EXPECT_TRUE(compiled.active_rows.empty());
-  EXPECT_TRUE(compiled.dangling_rows.empty());
-}
-
 }  // namespace
 }  // namespace pmpr

@@ -1,8 +1,8 @@
 // Differential tests for the chunk-streaming compile: a compressed part
 // (leased from an out-of-core store whose budget holds every part) must
-// yield a bit-identical CompiledBatchCsr / CompiledWindowCsr and window
-// state to the raw-CSR compile — that equality is what makes the storage
-// kinds interchangeable end to end.
+// yield a bit-identical CompiledBatchCsr and batch state to the raw-CSR
+// compile — that equality is what makes the storage kinds interchangeable
+// end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -106,30 +106,6 @@ TEST(CompressedCompile, ScratchReuseAcrossBatchesIsClean) {
   }
 }
 
-TEST(CompressedCompile, WindowCompileBitIdenticalToRaw) {
-  const Fixture f(707);
-  for (std::size_t p = 0; p < f.raw.num_parts(); ++p) {
-    const auto& raw_part = f.raw.part(p);
-    for (std::size_t w = raw_part.first_window;
-         w < raw_part.first_window + raw_part.num_windows; ++w) {
-      WindowState ref_state;
-      CompiledWindowCsr ref;
-      compile_window(raw_part, f.spec.start(w), f.spec.end(w), ref_state, ref);
-      WindowState state;
-      CompiledWindowCsr compiled;
-      compile_window(f.packed.part(p), f.spec.start(w), f.spec.end(w), state,
-                     compiled);
-      EXPECT_EQ(compiled.row_ptr, ref.row_ptr) << "window " << w;
-      EXPECT_EQ(compiled.nbr, ref.nbr) << "window " << w;
-      EXPECT_EQ(compiled.active_rows, ref.active_rows) << "window " << w;
-      EXPECT_EQ(compiled.dangling_rows, ref.dangling_rows) << "window " << w;
-      EXPECT_EQ(state.out_degree, ref_state.out_degree) << "window " << w;
-      EXPECT_EQ(state.active, ref_state.active) << "window " << w;
-      EXPECT_EQ(state.num_active, ref_state.num_active) << "window " << w;
-    }
-  }
-}
-
 TEST(CompressedCompile, PrunesChunksOutsideTheWindow) {
   // Chunks keep rows whole, so a chunk's time extent is the union of its
   // rows' full time spans — pruning only fires when rows are temporally
@@ -137,6 +113,8 @@ TEST(CompressedCompile, PrunesChunksOutsideTheWindow) {
   // [0, 4707]: with 8-entry rows and 64-entry chunks, each chunk covers an
   // ~800-wide band, and most bands fall wholly outside the first window
   // (and the late ones outside the two-lane batch's [0, 3000] as well).
+  // A one-shot compile indexes only its batch's windows, so it prunes
+  // against them.
   TemporalEdgeList events;
   for (VertexId v = 0; v < 48; ++v) {
     for (Timestamp k = 0; k < 8; ++k) {
@@ -156,30 +134,21 @@ TEST(CompressedCompile, PrunesChunksOutsideTheWindow) {
     EXPECT_GT(delta[obs::Counter::kChunksDecoded], 0u) << label;
   };
 
-  obs::CounterSnapshot before = obs::counters_snapshot();
-  WindowState state;
-  CompiledWindowCsr compiled;
-  compile_window(packed.part(0), spec.start(0), spec.end(0), state, compiled);
-  expect_pruned(before, "window 0");
-  // Pruning must not change the result.
-  WindowState ref_state;
-  CompiledWindowCsr ref;
-  compile_window(raw.part(0), spec.start(0), spec.end(0), ref_state, ref);
-  EXPECT_EQ(compiled.nbr, ref.nbr);
-  EXPECT_EQ(compiled.active_rows, ref.active_rows);
-
-  // An SpMM batch prunes against the union of its lanes' windows.
-  const SpmmBatch batch = batch_for(spec, 2, 0, 1);
-  before = obs::counters_snapshot();
-  SpmmWindowState spmm_state;
-  CompiledBatchCsr spmm;
-  compile_spmm_batch(packed.part(0), spec, batch, spmm_state, spmm);
-  expect_pruned(before, "batch of windows 0-1");
-  SpmmWindowState spmm_ref_state;
-  CompiledBatchCsr spmm_ref;
-  compile_spmm_batch(raw.part(0), spec, batch, spmm_ref_state, spmm_ref);
-  expect_same_batch(spmm, spmm_ref);
-  expect_same_spmm_state(spmm_state, spmm_ref_state);
+  // One window alone, then a batch, which prunes against the union of its
+  // lanes' windows. Pruning must not change the result.
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
+    const SpmmBatch batch = batch_for(spec, lanes, 0, 1);
+    const obs::CounterSnapshot before = obs::counters_snapshot();
+    SpmmWindowState state;
+    CompiledBatchCsr compiled;
+    compile_spmm_batch(packed.part(0), spec, batch, state, compiled);
+    expect_pruned(before, lanes == 1 ? "window 0" : "batch of windows 0-1");
+    SpmmWindowState ref_state;
+    CompiledBatchCsr ref;
+    compile_spmm_batch(raw.part(0), spec, batch, ref_state, ref);
+    expect_same_batch(compiled, ref);
+    expect_same_spmm_state(state, ref_state);
+  }
 }
 
 TEST(CompressedCompile, ReferenceStateComputationRejectsCompressedParts) {
@@ -189,9 +158,9 @@ TEST(CompressedCompile, ReferenceStateComputationRejectsCompressedParts) {
   EXPECT_THROW(
       oracle::compute_spmm_state(f.packed.part(0), f.spec, batch, spmm_state),
       InvariantError);
-  WindowState state;
-  EXPECT_THROW(compute_window_state(f.packed.part(0), f.spec.start(0),
-                                    f.spec.end(0), state),
+  oracle::WindowState state;
+  EXPECT_THROW(oracle::compute_window_state(f.packed.part(0), f.spec.start(0),
+                                            f.spec.end(0), state),
                InvariantError);
 }
 

@@ -6,7 +6,9 @@
 #include <numeric>
 #include <tuple>
 
-#include "pagerank/spmv_temporal.hpp"
+#include "pagerank/batch_csr.hpp"
+#include "pagerank/partial_init.hpp"
+#include "pagerank/spmm_temporal.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -36,17 +38,18 @@ TEST_P(PagerankParamSweep, AllKernelsAgree) {
   full_init(g.is_active, g.num_active, pull);
   pagerank(g, pull, scratch, p);
 
-  // Compiled temporal SpMV kernel through a multi-window part.
+  // The kSpmv kernel, a one-lane compiled batch, through a multi-window
+  // part: its one-lane sweep and dangling scan.
   const WindowSpec spec{.t0 = ts, .delta = te - ts, .sw = 1, .count = 1};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
   const auto& part = set.part(0);
-  WindowState state;
-  CompiledWindowCsr compiled;
-  compile_window(part, ts, te, state, compiled);
+  SpmmWindowState state;
+  CompiledBatchCsr compiled;
+  compile_spmm_batch(part, spec, SpmmBatch{.lanes = 1}, state, compiled);
   std::vector<double> x(part.num_local());
   std::vector<double> tmp(part.num_local());
-  full_init(state.active, state.num_active, x);
-  pagerank_window_spmv(state, compiled, x, tmp, p);
+  spmm_full_init(state.active_mask, state.num_active, x);
+  pagerank_spmm(state, compiled, x, tmp, p);
   std::vector<double> temporal(n, 0.0);
   for (VertexId v = 0; v < part.num_local(); ++v) {
     temporal[part.global_of(v)] = x[v];

@@ -105,8 +105,9 @@ TEST(SpmmTemporal, MatchesSpmvPerWindow) {
   for (std::size_t k = 0; k < batch.lanes; ++k) {
     const std::size_t w = batch.window_of_lane(k);
     if (w >= f.spec.count) continue;
-    WindowState state;
-    compute_window_state(part, f.spec.start(w), f.spec.end(w), state);
+    oracle::WindowState state;
+    oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w),
+                                 state);
     std::vector<double> x(part.num_local());
     std::vector<double> scratch(part.num_local());
     full_init(state.active, state.num_active, x);

@@ -1,6 +1,6 @@
 // The reference SpMV kernel of the test oracle against brute force. The
-// compiled kernel the runner executes is held bit-identical to it by
-// oracle_differential_test.cpp.
+// kSpmv kernel the runner executes, one-lane SpMM batches, is held
+// bit-identical to the SpMM reference by oracle_differential_test.cpp.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -33,8 +33,9 @@ PagerankParams tight_params() {
 std::vector<double> run_window(const Fixture& f, std::size_t w,
                                const par::ForOptions* parallel = nullptr) {
   const auto& part = f.set.part_for_window(w);
-  WindowState state;
-  compute_window_state(part, f.spec.start(w), f.spec.end(w), state, parallel);
+  oracle::WindowState state;
+  oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w), state,
+                               parallel);
   std::vector<double> x(part.num_local());
   std::vector<double> scratch(part.num_local());
   full_init(state.active, state.num_active, x);
@@ -100,8 +101,8 @@ TEST(SpmvTemporal, EmptyWindowZeroVector) {
   const WindowSpec spec{.t0 = 0, .delta = 10, .sw = 1, .count = 1};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
   const auto& part = set.part(0);
-  WindowState state;
-  compute_window_state(part, 0, 10, state);
+  oracle::WindowState state;
+  oracle::compute_window_state(part, 0, 10, state);
   std::vector<double> x(part.num_local(), 99.0);
   std::vector<double> scratch(part.num_local());
   const PagerankStats stats = oracle::pagerank_window_spmv(
@@ -121,17 +122,18 @@ TEST(SpmvTemporal, WarmStartConvergesFasterThanCold) {
 
   // Converge window w fully, then use it as the start for window w+1.
   std::size_t w = f.spec.count / 2;
-  WindowState sw_state;
-  compute_window_state(part, f.spec.start(w), f.spec.end(w), sw_state);
+  oracle::WindowState sw_state;
+  oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w),
+                               sw_state);
   std::vector<double> prev(part.num_local());
   std::vector<double> scratch(part.num_local());
   full_init(sw_state.active, sw_state.num_active, prev);
   oracle::pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), sw_state,
                                prev, scratch, p);
 
-  WindowState next_state;
-  compute_window_state(part, f.spec.start(w + 1), f.spec.end(w + 1),
-                       next_state);
+  oracle::WindowState next_state;
+  oracle::compute_window_state(part, f.spec.start(w + 1), f.spec.end(w + 1),
+                               next_state);
   std::vector<double> cold(part.num_local());
   full_init(next_state.active, next_state.num_active, cold);
   const PagerankStats cold_stats =

@@ -22,8 +22,8 @@ TEST(WindowState, MatchesWindowGraphDegrees) {
   const auto& part = set.part(0);
 
   for (std::size_t w = 0; w < spec.count; w += 2) {
-    WindowState state;
-    compute_window_state(part, spec.start(w), spec.end(w), state);
+    oracle::WindowState state;
+    oracle::compute_window_state(part, spec.start(w), spec.end(w), state);
     const WindowGraph ref = build_window_graph(
         events.slice(spec.start(w), spec.end(w)), events.num_vertices());
 
@@ -46,10 +46,11 @@ TEST(WindowState, ParallelMatchesSequential) {
 
   par::ForOptions opts{par::Partitioner::kSimple, 4, nullptr};
   for (std::size_t w = 0; w < spec.count; ++w) {
-    WindowState seq;
-    WindowState parl;
-    compute_window_state(part, spec.start(w), spec.end(w), seq);
-    compute_window_state(part, spec.start(w), spec.end(w), parl, &opts);
+    oracle::WindowState seq;
+    oracle::WindowState parl;
+    oracle::compute_window_state(part, spec.start(w), spec.end(w), seq);
+    oracle::compute_window_state(part, spec.start(w), spec.end(w), parl,
+                                 &opts);
     EXPECT_EQ(seq.num_active, parl.num_active);
     EXPECT_EQ(seq.out_degree, parl.out_degree);
     EXPECT_EQ(seq.active, parl.active);
@@ -60,8 +61,8 @@ TEST(WindowState, EmptyWindowAllZero) {
   const TemporalEdgeList events = test::paper_example_directed();
   const WindowSpec spec{.t0 = 0, .delta = 50, .sw = 1, .count = 1};
   const MultiWindowSet set = one_part_set(events, spec);
-  WindowState state;
-  compute_window_state(set.part(0), 0, 50, state);
+  oracle::WindowState state;
+  oracle::compute_window_state(set.part(0), 0, 50, state);
   EXPECT_EQ(state.num_active, 0u);
 }
 
@@ -182,8 +183,8 @@ TEST(SpmmState, AgreesWithPerWindowState) {
   for (std::size_t k = 0; k < batch.lanes; ++k) {
     const std::size_t w = batch.window_of_lane(k);
     if (w >= spec.count) continue;
-    WindowState single;
-    compute_window_state(part, spec.start(w), spec.end(w), single);
+    oracle::WindowState single;
+    oracle::compute_window_state(part, spec.start(w), spec.end(w), single);
     EXPECT_EQ(spmm.num_active[k], single.num_active) << "lane " << k;
     for (VertexId v = 0; v < part.num_local(); ++v) {
       ASSERT_EQ(spmm.out_degree[v * batch.lanes + k], single.out_degree[v])

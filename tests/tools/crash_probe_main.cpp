@@ -11,7 +11,7 @@
 //   crash_probe stall <dump_dir> [watchdog_ms]  — arms the watchdog and
 //     makes one sink callback sleep ~8x past the stall threshold. The
 //     watchdog must fire mid-sleep and write pmpr-watchdog-<pid>.json
-//     naming the stalled phase (window.sink); the run then completes and
+//     naming the stalled phase (batch.sink); the run then completes and
 //     the probe exits 0.
 //
 // Lives under tests/tools (not scanned by pmpr-lint's src gate): the
@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
                                       : MisbehavingSink::Mode::kStall,
                        std::chrono::milliseconds(watchdog_ms * 8));
   PostmortemConfig config = suggest_config_for(events, windows);
-  // SpMV keeps the sink site inside the "window.sink" phase (SpMM sinks
-  // under "batch.sink"), so the stall dump's phase name is deterministic.
+  // kSpmv's one-lane batches sink each window inside its own "batch.sink"
+  // phase, the phase the stall dump must name.
   config.kernel = KernelKind::kSpmv;
   const RunResult result = run_postmortem(events, windows, sink, config);
 
