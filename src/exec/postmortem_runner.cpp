@@ -254,26 +254,39 @@ class PostmortemDriver {
                    lanes);
 
     PMPR_PHASE(obs::Phase::kSink, "batch.sink", batch.first_window);
-    st.lane_buf.resize(n);
+    // A one-lane batch's x is its window's rank vector: the sink reads it
+    // in place. A wider batch copies each lane out of the interleaving.
+    const bool one_lane = lanes == 1;
+    if (!one_lane) st.lane_buf.resize(n);
     for (std::size_t k = 0; k < lanes; ++k) {
       const std::size_t w = batch.window_of_lane(k);
-      for (std::size_t v = 0; v < n; ++v) {
-        st.lane_buf[v] = st.x[v * lanes + k];
+      if (!one_lane) {
+        for (std::size_t v = 0; v < n; ++v) {
+          st.lane_buf[v] = st.x[v * lanes + k];
+        }
       }
       result_.iterations_per_window[w] = stats.lane_stats[k].iterations;
       result_.final_residuals[w] = stats.lane_stats[k].final_residual;
       result_.residual_trajectories[w] = std::move(stats.lane_stats[k].residuals);
-      sink_.consume_mapped(w, part.local_to_global, st.lane_buf);
+      sink_.consume_mapped(w, part.local_to_global,
+                           one_lane ? st.x : st.lane_buf);
     }
     // Read-amplification denominator: one rank vector per lane's window.
     obs::count(obs::Counter::kWindowOutputBytes, lanes * n * sizeof(double));
 
     // The carry is the last lane alone, the only one the next batch's
-    // partial init reads: lane_buf holds it after the sink loop.
-    st.prev_x.swap(st.lane_buf);
-    st.prev_mask.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      st.prev_mask[v] = st.ws.active_mask[v] >> (lanes - 1) & 1;
+    // partial init reads: lane_buf holds it after the sink loop. At one
+    // lane x and the activity masks are already that lane, bit 0 per
+    // vertex; the next batch's resize and cut reassign both.
+    if (one_lane) {
+      st.prev_x.swap(st.x);
+      st.prev_mask.swap(st.ws.active_mask);
+    } else {
+      st.prev_x.swap(st.lane_buf);
+      st.prev_mask.resize(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        st.prev_mask[v] = st.ws.active_mask[v] >> (lanes - 1) & 1;
+      }
     }
     st.carry_part = item.part;
     st.carry_index = j;

@@ -1,7 +1,7 @@
-// Scalar SpMM sweeps: the ctz-loop sweep — the always-built fallback and
-// the bit-identity reference for the AVX2/AVX-512 kernels — and the
-// one-lane sweep every ISA runs for one-lane batches. See simd_sweep.hpp
-// for the contract.
+// Scalar SpMM sweeps and dangling scans: the ctz-loop pair — the
+// always-built fallback and the bit-identity reference for the AVX2/AVX-512
+// kernels — and the one-lane pair every ISA runs for one-lane batches. See
+// simd_sweep.hpp for the contract.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -121,6 +121,29 @@ std::uint64_t spmm_sweep_one_lane(const CompiledBatchCsr& compiled,
   }
   *diff = d;
   return edges;
+}
+
+void spmm_dangling_scalar(const CompiledBatchCsr& compiled, const double* cur,
+                          std::uint64_t live_mask, double* dangling,
+                          std::size_t lo, std::size_t hi) {
+  const std::size_t lanes = compiled.lanes;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const VertexId v = compiled.dangling_rows[i];
+    for_each_set_lane(compiled.dangling_mask[i] & live_mask,
+                      [&](std::size_t k) {
+                        dangling[k] += cur[v * lanes + k];
+                      });
+  }
+}
+
+void spmm_dangling_one_lane(const CompiledBatchCsr& compiled,
+                            const double* cur, std::uint64_t /*live_mask*/,
+                            double* dangling, std::size_t lo,
+                            std::size_t hi) {
+  // A plain sum: every listed row dangles in the one live lane.
+  double sum = *dangling;
+  for (std::size_t i = lo; i < hi; ++i) sum += cur[compiled.dangling_rows[i]];
+  *dangling = sum;
 }
 
 }  // namespace pmpr::detail

@@ -9,29 +9,6 @@
 
 namespace pmpr {
 
-namespace {
-
-/// Compiled dangling scan: only the precompiled dangling vertices are
-/// visited, masked down to the still-live lanes (converged lanes cost
-/// nothing). Reads dangling-list indices [lo, hi).
-LaneVec dangling_scan_compiled(const CompiledBatchCsr& compiled,
-                               const double* cur, std::size_t lanes,
-                               std::uint64_t live_mask, std::size_t lo,
-                               std::size_t hi) {
-  LaneVec dangling(lanes, 0.0);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const VertexId v = compiled.dangling_rows[i];
-    for_each_set_lane(compiled.dangling_mask[i] & live_mask,
-                      [&](std::size_t k) {
-                        dangling[k] += cur[v * lanes + k];
-                      });
-  }
-  obs::count(obs::Counter::kDanglingScanned, hi - lo);
-  return dangling;
-}
-
-}  // namespace
-
 SpmmStats pagerank_spmm(const SpmmWindowState& state,
                         const CompiledBatchCsr& compiled, std::span<double> x,
                         std::span<double> scratch,
@@ -46,12 +23,12 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   assert(state.lanes == lanes);
 
   // A one-lane batch (the kSpmv kernel) has no lanes to vectorize across:
-  // every ISA runs the one-lane sweep, counted as a scalar sweep.
+  // every ISA runs the one-lane sweep and dangling sum, counted as a scalar
+  // sweep.
   const bool one_lane = lanes == 1;
   const SimdIsa resolved = resolve_simd(simd);
   const SimdIsa isa = one_lane ? SimdIsa::kScalar : resolved;
-  SpmmSweep* const sweep_fn =
-      one_lane ? detail::spmm_sweep_one_lane : select_spmm_sweep(isa);
+  const SpmmKernel kernel = select_spmm_kernel(isa, lanes);
   const obs::Counter isa_counter =
       isa == SimdIsa::kAvx512  ? obs::Counter::kSimdSweepAvx512
       : isa == SimdIsa::kAvx2 ? obs::Counter::kSimdSweepAvx2
@@ -76,25 +53,25 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   const double one_minus_alpha = 1.0 - params.alpha;
   const std::size_t rows = compiled.active_rows.size();
   const std::size_t dangling_rows = compiled.dangling_rows.size();
+  // Only the precompiled dangling rows are visited, masked down to the
+  // live lanes. A one-lane batch sums them serially.
   auto dangling_of = [&](const double* cur, std::uint64_t live_mask) {
-    if (one_lane) {
-      // A serial plain sum: every listed row dangles in the one live lane.
-      double sum = 0.0;
-      for (const VertexId v : compiled.dangling_rows) sum += cur[v];
-      obs::count(obs::Counter::kDanglingScanned, dangling_rows);
-      return LaneVec(1, sum);
-    }
-    if (parallel != nullptr) {
+    if (parallel != nullptr && !one_lane) {
       return par::parallel_reduce(
           0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {
-            return dangling_scan_compiled(compiled, cur, lanes, live_mask, lo,
-                                          hi);
+            LaneVec local(lanes, 0.0);
+            kernel.dangling(compiled, cur, live_mask, local.data(), lo, hi);
+            obs::count(obs::Counter::kDanglingScanned, hi - lo);
+            return local;
           },
           add_lanes);
     }
-    return dangling_scan_compiled(compiled, cur, lanes, live_mask, 0,
-                                  dangling_rows);
+    LaneVec dangling(lanes, 0.0);
+    kernel.dangling(compiled, cur, live_mask, dangling.data(), 0,
+                    dangling_rows);
+    obs::count(obs::Counter::kDanglingScanned, dangling_rows);
+    return dangling;
   };
   auto sweep = [&](std::span<const double> cur, std::span<double> next,
                    const LaneVec& base, std::uint64_t live_mask,
@@ -106,9 +83,9 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
           [&](std::size_t lo, std::size_t hi) {
             double local = 0.0;
             const std::uint64_t edges =
-                sweep_fn(compiled, state, cur.data(), next.data(),
-                         base.data(), one_minus_alpha, live_mask, &local, lo,
-                         hi);
+                kernel.sweep(compiled, state, cur.data(), next.data(),
+                             base.data(), one_minus_alpha, live_mask, &local,
+                             lo, hi);
             obs::count(obs::Counter::kEdgesTraversed, edges);
             return local;
           },
@@ -119,17 +96,17 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
           [&](std::size_t lo, std::size_t hi) {
             LaneVec local(lanes, 0.0);
             const std::uint64_t edges =
-                sweep_fn(compiled, state, cur.data(), next.data(),
-                         base.data(), one_minus_alpha, live_mask,
-                         local.data(), lo, hi);
+                kernel.sweep(compiled, state, cur.data(), next.data(),
+                             base.data(), one_minus_alpha, live_mask,
+                             local.data(), lo, hi);
             obs::count(obs::Counter::kEdgesTraversed, edges);
             return local;
           },
           add_lanes);
     } else {
       const std::uint64_t edges =
-          sweep_fn(compiled, state, cur.data(), next.data(), base.data(),
-                   one_minus_alpha, live_mask, diff.data(), 0, rows);
+          kernel.sweep(compiled, state, cur.data(), next.data(), base.data(),
+                       one_minus_alpha, live_mask, diff.data(), 0, rows);
       obs::count(obs::Counter::kEdgesTraversed, edges);
     }
   };

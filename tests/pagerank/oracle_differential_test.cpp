@@ -10,12 +10,14 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "pagerank/simd_dispatch.hpp"
 #include "pagerank/spmm_temporal.hpp"
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
@@ -33,8 +35,9 @@ struct Fixture {
         spec(WindowSpec::cover(0, 50000, 9000, 700)),
         set(MultiWindowSet::build(events, spec, 1)) {}
 
-  Fixture(std::uint64_t seed, const WindowSpec& wide_spec)
-      : events(test::random_events(seed, 50, 2500, 50000)),
+  Fixture(std::uint64_t seed, const WindowSpec& wide_spec,
+          VertexId vertices = 50, std::size_t num_events = 2500)
+      : events(test::random_events(seed, vertices, num_events, 50000)),
         spec(wide_spec),
         set(MultiWindowSet::build(events, spec, 1)) {}
 };
@@ -176,26 +179,29 @@ TEST(CompiledSpmm, ParallelMatchesReference) {
 }
 
 /// Forced-ISA differential: each vector kernel must produce exactly the
-/// scalar kernel's bits (all sweeps perform the same per-lane FP ops in
-/// the same order; cross-lane vectorization touches independent
-/// accumulators). The lane counts sit on both sides of every AVX2 4-lane
-/// nibble and AVX-512 8-lane byte tail they can, up to the full word.
-void expect_isa_matches_scalar(SimdIsa isa, SimdMode mode) {
+/// scalar kernel's bits (all sweeps and dangling scans perform the same
+/// per-lane FP ops in the same order; cross-lane vectorization touches
+/// independent accumulators). `parallel` null runs serially; otherwise
+/// every leaf of the sweep and dangling reductions must match too. The
+/// lane counts sit on both sides of every AVX2 4-lane nibble and AVX-512
+/// 8-lane byte tail they can, up to the full word, and reach every
+/// group-count instantiation of both wide kernels.
+void expect_isa_matches_scalar(SimdIsa isa, SimdMode mode, const Fixture& f,
+                               std::initializer_list<std::size_t> lane_counts,
+                               const par::ForOptions* parallel = nullptr) {
   if (!simd_isa_supported(isa)) {
     GTEST_SKIP() << to_string(isa)
                  << " not built or not supported on this host";
   }
-  const Fixture f(2303, wide_spec());
-  for (const std::size_t lanes : std::initializer_list<std::size_t>{
-           1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 63, 64}) {
+  for (const std::size_t lanes : lane_counts) {
     for (const bool dangling : {true, false}) {
       SpmmBatch batch;
       batch.lanes = lanes;
       batch.first_window = 0;
       batch.window_stride = 1;
       const SpmmRun scalar =
-          run_compiled(f, batch, dangling, nullptr, SimdMode::kScalar);
-      const SpmmRun vec = run_compiled(f, batch, dangling, nullptr, mode);
+          run_compiled(f, batch, dangling, parallel, SimdMode::kScalar);
+      const SpmmRun vec = run_compiled(f, batch, dangling, parallel, mode);
       ASSERT_EQ(scalar.x, vec.x)
           << to_string(isa) << " lanes=" << lanes << " dangling=" << dangling;
       expect_stats_equal(scalar.stats, vec.stats);
@@ -203,12 +209,37 @@ void expect_isa_matches_scalar(SimdIsa isa, SimdMode mode) {
   }
 }
 
+constexpr std::initializer_list<std::size_t> kSerialIsaLanes = {
+    1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 24, 25, 32, 33, 63, 64};
+
 TEST(CompiledSpmmDispatch, Avx2BitIdenticalToScalar) {
-  expect_isa_matches_scalar(SimdIsa::kAvx2, SimdMode::kAvx2);
+  expect_isa_matches_scalar(SimdIsa::kAvx2, SimdMode::kAvx2,
+                            Fixture(2303, wide_spec()), kSerialIsaLanes);
 }
 
 TEST(CompiledSpmmDispatch, Avx512BitIdenticalToScalar) {
-  expect_isa_matches_scalar(SimdIsa::kAvx512, SimdMode::kAvx512);
+  expect_isa_matches_scalar(SimdIsa::kAvx512, SimdMode::kAvx512,
+                            Fixture(2303, wide_spec()), kSerialIsaLanes);
+}
+
+// On a 3-worker pool at kSimple grain 8, the sweep and dangling reductions
+// split into many leaves, each combining one kernel call's register sums:
+// every leaf partial, and so every combined residual and dangling mass,
+// must carry the scalar kernels' bits. 400 vertices give each batch
+// hundreds of active rows and dozens of dangling rows, so both reductions
+// have leaves that start past row 0.
+TEST(CompiledSpmmDispatch, ParallelBitIdenticalToScalar) {
+  par::ThreadPool pool(3);
+  const par::ForOptions opts{par::Partitioner::kSimple, 8, &pool};
+  const Fixture f(2606, wide_spec(), 400, 6000);
+  const std::initializer_list<std::size_t> lanes = {2, 9, 16, 17, 25, 33, 64};
+  for (const auto& [isa, mode] :
+       {std::pair{SimdIsa::kAvx2, SimdMode::kAvx2},
+        std::pair{SimdIsa::kAvx512, SimdMode::kAvx512}}) {
+    SCOPED_TRACE(to_string(isa));
+    if (!simd_isa_supported(isa)) continue;
+    expect_isa_matches_scalar(isa, mode, f, lanes, &opts);
+  }
 }
 
 TEST(CompiledSpmmDispatch, AutoBitIdenticalToScalarSerial) {
