@@ -1,8 +1,6 @@
 #include "exec/offline_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <utility>
 
 #include "obs/counters.hpp"
@@ -30,16 +28,12 @@ std::size_t window_bytes(const WindowGraph& g) {
 }
 
 /// Builds window `w`'s graph and runs a cold-start PageRank into `x`.
-/// Returns the kernel stats; `memory_bytes` gets the window's estimated
-/// working-set size.
+/// Adds the window's build and compute time to `result` and raises its
+/// peak estimate to the window's working set; returns the kernel stats.
 PagerankStats solve_window(const TemporalEdgeList& events,
                            const WindowSpec& spec, std::size_t w,
-                           const OfflineOptions& opts,
-                           const par::ForOptions* kernel_par,
-                           std::vector<double>& x,
-                           std::vector<double>& scratch,
-                           double& build_seconds, double& compute_seconds,
-                           std::size_t& memory_bytes) {
+                           const OfflineOptions& opts, std::vector<double>& x,
+                           std::vector<double>& scratch, RunResult& result) {
   Timer build_timer;
   PMPR_TRACE_SPAN("offline.window");
   const WindowGraph g = [&] {
@@ -47,9 +41,10 @@ PagerankStats solve_window(const TemporalEdgeList& events,
     const auto slice = events.slice(spec.start(w), spec.end(w));
     return build_window_graph(slice, events.num_vertices());
   }();
-  build_seconds = build_timer.seconds();
+  result.build_seconds += build_timer.seconds();
   if (opts.validate) g.validate();
-  memory_bytes = window_bytes(g);
+  result.peak_memory_bytes =
+      std::max(result.peak_memory_bytes, window_bytes(g));
 
   Timer compute_timer;
   x.resize(g.num_vertices);
@@ -59,8 +54,9 @@ PagerankStats solve_window(const TemporalEdgeList& events,
     full_init(g.is_active, g.num_active, x);
   }
   PMPR_PHASE(obs::Phase::kIterate, "window.iterate", w);
-  PagerankStats stats = pagerank(g, x, scratch, opts.pr, kernel_par);
-  compute_seconds = compute_timer.seconds();
+  const par::ForOptions kernel_par{.pool = opts.pool};
+  PagerankStats stats = pagerank(g, x, scratch, opts.pr, &kernel_par);
+  result.compute_seconds += compute_timer.seconds();
   obs::count(obs::Counter::kWindowsProcessed);
   obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
   return stats;
@@ -79,87 +75,22 @@ RunResult run_offline(const TemporalEdgeList& events, const WindowSpec& spec,
   result.iterations_per_window.assign(spec.count, 0);
   result.final_residuals.assign(spec.count, 0.0);
   result.residual_trajectories.assign(spec.count, {});
-  // Per-window working-set estimates; distinct slots, no synchronization
-  // needed even when windows run in parallel.
-  std::vector<std::size_t> window_memory(spec.count, 0);
 
   const obs::CounterSnapshot before = obs::counters_snapshot();
   const obs::HistogramSnapshot hist_before = obs::histograms_snapshot();
   PMPR_TRACE_SPAN("offline.run");
 
-  par::ForOptions for_opts{opts.partitioner, opts.grain, opts.pool};
-
-  auto record = [&](std::size_t w, PagerankStats stats) {
+  std::vector<double> x;
+  std::vector<double> scratch;
+  for (std::size_t w = 0; w < spec.count; ++w) {
+    PagerankStats stats =
+        solve_window(events, spec, w, opts, x, scratch, result);
     result.iterations_per_window[w] = stats.iterations;
+    result.total_iterations += static_cast<std::uint64_t>(stats.iterations);
     result.final_residuals[w] = stats.final_residual;
     result.residual_trajectories[w] = std::move(stats.residuals);
-  };
-
-  if (opts.parallel_windows) {
-    // Window-level fan-out: each window is fully independent (cold start,
-    // own graph), so this is embarrassingly parallel. Phase times are
-    // summed across windows (total work, not wall time).
-    std::atomic<std::int64_t> build_ns{0};
-    std::atomic<std::int64_t> compute_ns{0};
-    par::parallel_for(0, spec.count, for_opts, [&](std::size_t w) {
-      std::vector<double> x;
-      std::vector<double> scratch;
-      double build = 0.0;
-      double compute = 0.0;
-      PagerankStats stats =
-          solve_window(events, spec, w, opts, /*kernel_par=*/nullptr, x,
-                       scratch, build, compute, window_memory[w]);
-      record(w, std::move(stats));
-      {
-        PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
-        sink.consume_dense(w, x);
-      }
-      // relaxed (both): commutative time totals, read only after the
-      // parallel_for join publishes them.
-      build_ns.fetch_add(static_cast<std::int64_t>(build * 1e9),
-                         std::memory_order_relaxed);
-      compute_ns.fetch_add(static_cast<std::int64_t>(compute * 1e9),
-                           std::memory_order_relaxed);  // relaxed: as above
-    });
-    result.build_seconds = static_cast<double>(build_ns.load()) * 1e-9;
-    result.compute_seconds = static_cast<double>(compute_ns.load()) * 1e-9;
-  } else {
-    const par::ForOptions* kernel_par =
-        opts.parallel_kernel ? &for_opts : nullptr;
-    std::vector<double> x;
-    std::vector<double> scratch;
-    for (std::size_t w = 0; w < spec.count; ++w) {
-      double build = 0.0;
-      double compute = 0.0;
-      PagerankStats stats = solve_window(events, spec, w, opts, kernel_par, x,
-                                         scratch, build, compute,
-                                         window_memory[w]);
-      record(w, std::move(stats));
-      {
-        PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
-        sink.consume_dense(w, x);
-      }
-      result.build_seconds += build;
-      result.compute_seconds += compute;
-    }
-  }
-
-  for (const int iters : result.iterations_per_window) {
-    result.total_iterations += static_cast<std::uint64_t>(iters);
-  }
-  // Peak estimate: the largest single window when sequential; with
-  // parallel_windows up to `threads` windows are resident at once, so sum
-  // the largest `threads` estimates.
-  std::sort(window_memory.begin(), window_memory.end(),
-            std::greater<std::size_t>());
-  std::size_t resident = opts.parallel_windows
-                             ? (opts.pool != nullptr
-                                    ? opts.pool->num_threads()
-                                    : par::ThreadPool::global().num_threads())
-                             : 1;
-  resident = std::min(resident, window_memory.size());
-  for (std::size_t i = 0; i < resident; ++i) {
-    result.peak_memory_bytes += window_memory[i];
+    PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
+    sink.consume_dense(w, x);
   }
   result.counters = obs::counters_snapshot().delta_since(before);
   result.histograms = obs::histograms_snapshot().delta_since(hist_before);

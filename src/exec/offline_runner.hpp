@@ -14,18 +14,10 @@ namespace pmpr {
 
 struct OfflineOptions {
   PagerankParams pr;
-  /// Parallelize inside each PageRank (application-level).
-  bool parallel_kernel = true;
-  /// Rebuild + solve different windows concurrently — the "massively
-  /// parallel" deployment §3.3.1 describes (each window independent, so
-  /// this maps to a cluster; here it maps to the pool). Exclusive with
-  /// parallel_kernel in effect: when set, kernels run sequentially.
-  bool parallel_windows = false;
-  par::Partitioner partitioner = par::Partitioner::kAuto;
-  std::size_t grain = 1;
   /// Run WindowGraph::validate() on every rebuilt window graph (throws
   /// pmpr::InvariantError on a structural violation).
   bool validate = false;
+  /// Pool each window's PageRank sweeps run on (nullptr: the global pool).
   par::ThreadPool* pool = nullptr;
 };
 

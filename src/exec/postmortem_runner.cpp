@@ -35,7 +35,6 @@ struct ThreadState {
   CompiledBatchCsr compiled;
   std::vector<double> x;
   std::vector<double> scratch;
-  std::vector<double> lane_buf;
 
   // Carry for partial initialization: the last lane of the previous batch
   // this state processed in the current lease, the one window Eq. 4 seeds
@@ -255,34 +254,38 @@ class PostmortemDriver {
 
     PMPR_PHASE(obs::Phase::kSink, "batch.sink", batch.first_window);
     // A one-lane batch's x is its window's rank vector: the sink reads it
-    // in place. A wider batch copies each lane out of the interleaving.
+    // in place. A wider batch is transposed once, lane-major, into scratch,
+    // which pagerank_spmm writes before it reads and leaves free: lane k is
+    // scratch[k·n, (k+1)·n).
     const bool one_lane = lanes == 1;
-    if (!one_lane) st.lane_buf.resize(n);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const std::size_t w = batch.window_of_lane(k);
-      if (!one_lane) {
-        for (std::size_t v = 0; v < n; ++v) {
-          st.lane_buf[v] = st.x[v * lanes + k];
+    if (!one_lane) {
+      for (std::size_t v = 0; v < n; ++v) {
+        for (std::size_t k = 0; k < lanes; ++k) {
+          st.scratch[k * n + v] = st.x[v * lanes + k];
         }
       }
+    }
+    const std::span<const double> ranks(one_lane ? st.x : st.scratch);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const std::size_t w = batch.window_of_lane(k);
       result_.iterations_per_window[w] = stats.lane_stats[k].iterations;
       result_.final_residuals[w] = stats.lane_stats[k].final_residual;
       result_.residual_trajectories[w] = std::move(stats.lane_stats[k].residuals);
-      sink_.consume_mapped(w, part.local_to_global,
-                           one_lane ? st.x : st.lane_buf);
+      sink_.consume_mapped(w, part.local_to_global, ranks.subspan(k * n, n));
     }
     // Read-amplification denominator: one rank vector per lane's window.
     obs::count(obs::Counter::kWindowOutputBytes, lanes * n * sizeof(double));
 
     // The carry is the last lane alone, the only one the next batch's
-    // partial init reads: lane_buf holds it after the sink loop. At one
-    // lane x and the activity masks are already that lane, bit 0 per
-    // vertex; the next batch's resize and cut reassign both.
+    // partial init reads. At one lane x and the activity masks are already
+    // that lane, bit 0 per vertex; the next batch's resize and cut reassign
+    // both.
     if (one_lane) {
       st.prev_x.swap(st.x);
       st.prev_mask.swap(st.ws.active_mask);
     } else {
-      st.prev_x.swap(st.lane_buf);
+      const std::span<const double> last = ranks.last(n);
+      st.prev_x.assign(last.begin(), last.end());
       st.prev_mask.resize(n);
       for (std::size_t v = 0; v < n; ++v) {
         st.prev_mask[v] = st.ws.active_mask[v] >> (lanes - 1) & 1;

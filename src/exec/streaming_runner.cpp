@@ -1,7 +1,6 @@
 #include "exec/streaming_runner.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "obs/counters.hpp"
@@ -9,7 +8,6 @@
 #include "obs/histogram.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "streaming/delta_pagerank.hpp"
 #include "streaming/dynamic_graph.hpp"
 #include "streaming/incremental_pagerank.hpp"
 #include "util/check.hpp"
@@ -78,20 +76,9 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
 
   const VertexId n = events.num_vertices();
   streaming::DynamicGraph graph(n);
-  // Only the selected refresh algorithm is built: each holds dense
-  // per-vertex vectors.
+  streaming::IncrementalPagerank refresher(graph, opts.pr);
   const bool use_delta = opts.algorithm == StreamingAlgorithm::kDeltaPush;
-  std::optional<streaming::IncrementalPagerank> warm;
-  std::optional<streaming::DeltaPagerank> delta;
-  if (use_delta) {
-    delta.emplace(graph, opts.pr);
-  } else {
-    warm.emplace(graph, opts.pr);
-  }
-
-  par::ForOptions for_opts{opts.partitioner, opts.grain, opts.pool};
-  const par::ForOptions* kernel_par =
-      opts.parallel_kernel ? &for_opts : nullptr;
+  const par::ForOptions for_opts{.pool = opts.pool};
 
   AccumTimer mutate_timer;
   AccumTimer compute_timer;
@@ -109,15 +96,15 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
     PagerankStats stats;
     {
       ScopedAccum timing(compute_timer);
-      // Warm-restart/delta re-seeding happens inside update(): the iterate
-      // phase covers init for the streaming model.
+      // Both updates re-seed from the previous solution themselves: the
+      // iterate phase covers init for the streaming model.
       PMPR_PHASE(obs::Phase::kIterate, "window.iterate", w);
+      if (!opts.incremental) refresher.reset();
       if (use_delta) {
-        if (!opts.incremental) delta->reset();
-        stats = delta->update(batches.inserted, batches.removed).pagerank;
+        stats = refresher.update_delta_push(batches.inserted, batches.removed)
+                    .pagerank;
       } else {
-        if (!opts.incremental) warm->reset();
-        stats = warm->update(kernel_par);
+        stats = refresher.update(&for_opts);
       }
     }
 
@@ -129,7 +116,7 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
     obs::count(obs::Counter::kWindowsProcessed);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
     PMPR_PHASE(obs::Phase::kSink, "window.sink", w);
-    sink.consume_dense(w, use_delta ? delta->values() : warm->values());
+    sink.consume_dense(w, refresher.values());
   }
   result.build_seconds = mutate_timer.seconds();
   result.compute_seconds = compute_timer.seconds();

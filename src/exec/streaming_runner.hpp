@@ -32,13 +32,11 @@ struct StreamingOptions {
   /// (Riedy-style incremental update). Off = cold start every window.
   bool incremental = true;
   StreamingAlgorithm algorithm = StreamingAlgorithm::kWarmRestart;
-  bool parallel_kernel = true;
-  par::Partitioner partitioner = par::Partitioner::kAuto;
-  std::size_t grain = 1;
   /// Run DynamicGraph::validate() after every window's batch mutation
   /// (throws pmpr::InvariantError on a structural violation). O(V + E) per
   /// window — debugging / sanitizer-CI aid, not for benchmarking.
   bool validate = false;
+  /// Pool the warm-restart sweeps run on (nullptr: the global pool).
   par::ThreadPool* pool = nullptr;
 };
 

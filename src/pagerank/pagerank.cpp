@@ -1,10 +1,9 @@
 #include "pagerank/pagerank.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <utility>
 
 #include "obs/counters.hpp"
+#include "pagerank/power_iterate.hpp"
 
 namespace pmpr {
 
@@ -21,31 +20,22 @@ void full_init(std::span<const std::uint8_t> active, std::size_t num_active,
 
 namespace {
 
-/// One pull iteration over rows [lo, hi). Returns the partial L1 change.
-double sweep_rows(const WindowGraph& g, std::span<const double> x,
-                  std::span<double> x_next, double base, double one_minus_alpha,
-                  std::size_t lo, std::size_t hi) {
-  double diff = 0.0;
-  std::uint64_t edges = 0;  // flushed once per chunk, not per edge
-  for (std::size_t v = lo; v < hi; ++v) {
-    if (g.is_active[v] == 0) {
-      x_next[v] = 0.0;
-      continue;
-    }
-    double sum = 0.0;
-    const auto nbrs = g.in.neighbors(static_cast<VertexId>(v));
-    edges += nbrs.size();
-    for (const VertexId u : nbrs) {
-      // Any in-neighbor has out-degree >= 1 by construction.
-      sum += x[u] / static_cast<double>(g.out_degree[u]);
-    }
-    const double next = base + one_minus_alpha * sum;
-    diff += std::abs(next - x[v]);
-    x_next[v] = next;
+/// A window's CSR through the graph interface power_iterate reads.
+struct WindowView {
+  const WindowGraph& g;
+
+  [[nodiscard]] std::size_t num_active() const { return g.num_active; }
+  [[nodiscard]] bool is_active(VertexId v) const {
+    return g.is_active[v] != 0;
   }
-  obs::count(obs::Counter::kEdgesTraversed, edges);
-  return diff;
-}
+  [[nodiscard]] std::uint32_t out_degree(VertexId u) const {
+    return g.out_degree[u];
+  }
+  template <typename Fn>
+  void for_each_in(VertexId v, Fn&& fn) const {
+    for (const VertexId u : g.in.neighbors(v)) fn(u);
+  }
+};
 
 }  // namespace
 
@@ -54,63 +44,7 @@ PagerankStats pagerank(const WindowGraph& g, std::span<double> x,
                        const PagerankParams& params,
                        const par::ForOptions* parallel) {
   assert(x.size() == g.num_vertices);
-  assert(scratch.size() == g.num_vertices);
-  PagerankStats stats;
-  if (g.num_active == 0) {
-    for (auto& v : x) v = 0.0;
-    return stats;
-  }
-  const auto n_active = static_cast<double>(g.num_active);
-  const double one_minus_alpha = 1.0 - params.alpha;
-
-  double* cur = x.data();
-  double* next = scratch.data();
-  const std::size_t n = g.num_vertices;
-
-  for (int iter = 0; iter < params.max_iters; ++iter) {
-    // Dangling mass from the *current* vector, before the sweep.
-    double dangling = 0.0;
-    if (params.redistribute_dangling) {
-      for (std::size_t v = 0; v < n; ++v) {
-        if (g.is_active[v] != 0 && g.out_degree[v] == 0) dangling += cur[v];
-      }
-    }
-    const double base =
-        (params.alpha + one_minus_alpha * dangling) / n_active;
-
-    std::span<const double> cur_span(cur, n);
-    std::span<double> next_span(next, n);
-    double diff = 0.0;
-    if (parallel != nullptr) {
-      diff = par::parallel_reduce(
-          0, n, 0.0, *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            return sweep_rows(g, cur_span, next_span, base, one_minus_alpha,
-                              lo, hi);
-          },
-          [](double a, double b) { return a + b; });
-    } else {
-      diff = sweep_rows(g, cur_span, next_span, base, one_minus_alpha, 0, n);
-    }
-
-    std::swap(cur, next);
-    stats.iterations = iter + 1;
-    stats.final_residual = diff;
-    if (obs::metrics_enabled()) stats.residuals.push_back(diff);
-    if (diff < params.tol) break;
-  }
-  obs::count(obs::Counter::kIterations,
-             static_cast<std::uint64_t>(stats.iterations));
-  if (params.redistribute_dangling) {
-    obs::count(obs::Counter::kDanglingScanned,
-               static_cast<std::uint64_t>(stats.iterations) * n);
-  }
-  if (stats.converged(params)) obs::count(obs::Counter::kLanesConverged);
-
-  if (cur != x.data()) {
-    std::copy(cur, cur + n, x.data());
-  }
-  return stats;
+  return power_iterate(WindowView{g}, x, scratch, params, parallel);
 }
 
 }  // namespace pmpr

@@ -41,10 +41,12 @@ struct PagerankStats {
 void full_init(std::span<const std::uint8_t> active, std::size_t num_active,
                std::span<double> x);
 
-/// Runs PageRank on `g`. `x` holds the initial guess on entry (a valid
-/// distribution over g's active set) and the result on exit. `scratch` must
-/// match x in size. If `parallel` is non-null the per-iteration sweep runs
-/// as a parallel_for with those options; otherwise it is sequential.
+/// Runs PageRank on `g` through the driver the streaming refresher shares
+/// (pagerank/power_iterate.hpp). `x` holds the initial guess on entry (a
+/// valid distribution over g's active set) and the result on exit.
+/// `scratch` must match x in size. If `parallel` is non-null the
+/// per-iteration sweep runs as a parallel_reduce with those options;
+/// otherwise it is sequential.
 PagerankStats pagerank(const WindowGraph& g, std::span<double> x,
                        std::span<double> scratch, const PagerankParams& params,
                        const par::ForOptions* parallel = nullptr);

@@ -1,11 +1,9 @@
 #include "streaming/incremental_pagerank.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <utility>
 
-#include "obs/counters.hpp"
 #include "pagerank/partial_init.hpp"
+#include "pagerank/power_iterate.hpp"
 
 namespace pmpr::streaming {
 
@@ -15,109 +13,118 @@ IncrementalPagerank::IncrementalPagerank(const DynamicGraph& graph,
       params_(params),
       x_(graph.num_vertices(), 0.0),
       scratch_(graph.num_vertices(), 0.0),
+      active_(graph.num_vertices(), 0),
       prev_active_(graph.num_vertices(), 0) {}
 
-void IncrementalPagerank::reset() { has_previous_ = false; }
-
-void IncrementalPagerank::build_initial_vector() {
-  const std::size_t n = x_.size();
-  std::vector<std::uint8_t> cur_active(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    cur_active[v] = graph_.is_active(static_cast<VertexId>(v)) ? 1 : 0;
+bool IncrementalPagerank::carry() {
+  const bool warm = has_previous_;
+  has_previous_ = graph_.num_active() > 0;
+  if (!has_previous_) return false;
+  active_.swap(prev_active_);
+  for (std::size_t v = 0; v < active_.size(); ++v) {
+    active_[v] = graph_.is_active(static_cast<VertexId>(v)) ? 1 : 0;
   }
-  if (has_previous_) {
-    // Carry the previous solution onto the new active set (same rescaling
-    // as the postmortem partial initialization, Eq. 4).
-    partial_init(x_, prev_active_, cur_active, graph_.num_active(), x_);
+  if (warm) {
+    partial_init(x_, prev_active_, active_, graph_.num_active(), x_);
   } else {
-    full_init(cur_active, graph_.num_active(), x_);
+    full_init(active_, graph_.num_active(), x_);
   }
-  prev_active_ = std::move(cur_active);
+  return warm;
 }
 
 PagerankStats IncrementalPagerank::update(const par::ForOptions* parallel) {
-  const std::size_t n = x_.size();
-  PagerankStats stats;
-  if (graph_.num_active() == 0) {
-    std::fill(x_.begin(), x_.end(), 0.0);
-    has_previous_ = false;
-    return stats;
-  }
-  build_initial_vector();
+  carry();
+  return power_iterate(graph_, x_, scratch_, params_, parallel);
+}
 
-  const auto n_active = static_cast<double>(graph_.num_active());
-  const double one_minus_alpha = 1.0 - params_.alpha;
-  double* cur = x_.data();
-  double* next = scratch_.data();
-
-  auto sweep = [&](const double* from, double* to, double base,
-                   std::size_t lo, std::size_t hi) {
-    double diff = 0.0;
-    std::uint64_t edges = 0;  // flushed once per chunk, not per edge
-    for (std::size_t v = lo; v < hi; ++v) {
-      if (!graph_.is_active(static_cast<VertexId>(v))) {
-        to[v] = 0.0;
-        continue;
-      }
-      double sum = 0.0;
-      graph_.for_each_in(static_cast<VertexId>(v),
-                         [&](VertexId u, std::uint32_t /*weight*/) {
-                           sum += from[u] /
-                                  static_cast<double>(graph_.out_degree(u));
-                           ++edges;
-                         });
-      const double value = base + one_minus_alpha * sum;
-      diff += std::abs(value - from[v]);
-      to[v] = value;
-    }
-    obs::count(obs::Counter::kEdgesTraversed, edges);
-    return diff;
-  };
-
-  for (int iter = 0; iter < params_.max_iters; ++iter) {
-    double dangling = 0.0;
-    if (params_.redistribute_dangling) {
-      for (std::size_t v = 0; v < n; ++v) {
-        if (graph_.is_active(static_cast<VertexId>(v)) &&
-            graph_.out_degree(static_cast<VertexId>(v)) == 0) {
-          dangling += cur[v];
-        }
-      }
-    }
-    const double base =
-        (params_.alpha + one_minus_alpha * dangling) / n_active;
-
-    double diff = 0.0;
-    if (parallel != nullptr) {
-      diff = par::parallel_reduce(
-          0, n, 0.0, *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            return sweep(cur, next, base, lo, hi);
-          },
-          [](double a, double b) { return a + b; });
-    } else {
-      diff = sweep(cur, next, base, 0, n);
-    }
-
-    std::swap(cur, next);
-    stats.iterations = iter + 1;
-    stats.final_residual = diff;
-    if (obs::metrics_enabled()) stats.residuals.push_back(diff);
-    if (diff < params_.tol) break;
-  }
-  obs::count(obs::Counter::kIterations,
-             static_cast<std::uint64_t>(stats.iterations));
-  if (params_.redistribute_dangling) {
-    obs::count(obs::Counter::kDanglingScanned,
-               static_cast<std::uint64_t>(stats.iterations) * n);
-  }
-  if (stats.converged(params_)) obs::count(obs::Counter::kLanesConverged);
-
-  if (cur != x_.data()) {
-    std::memcpy(x_.data(), cur, n * sizeof(double));
-  }
-  has_previous_ = true;
+DeltaPushStats IncrementalPagerank::update_delta_push(
+    std::span<const TemporalEdge> inserted,
+    std::span<const TemporalEdge> removed) {
+  DeltaPushStats stats;
+  if (carry()) push_frontier(inserted, removed, stats);
+  // Certification: full sweeps to the shared tolerance, kept serial.
+  stats.pagerank = power_iterate(graph_, x_, scratch_, params_, nullptr);
   return stats;
+}
+
+void IncrementalPagerank::enqueue(VertexId v, std::vector<VertexId>& into) {
+  if (queued_epoch_[v] != epoch_ && graph_.is_active(v)) {
+    queued_epoch_[v] = epoch_;
+    into.push_back(v);
+  }
+}
+
+void IncrementalPagerank::push_frontier(
+    std::span<const TemporalEdge> inserted,
+    std::span<const TemporalEdge> removed, DeltaPushStats& stats) {
+  const std::size_t n = x_.size();
+  queued_epoch_.resize(n, 0);
+  const auto n_active = static_cast<double>(graph_.num_active());
+  const double d = 1.0 - params_.alpha;
+  // Push threshold: tight enough that the certification sweeps converge
+  // in a couple of iterations, loose enough to keep the frontier local.
+  const double theta = params_.tol / (8.0 * n_active);
+
+  ++epoch_;
+  frontier_.clear();
+  for (const auto batch : {inserted, removed}) {
+    for (const auto& e : batch) {
+      // The destination's pull sum changed directly; the source's
+      // out-degree changed, which perturbs every one of its current
+      // out-neighbors.
+      enqueue(e.dst, frontier_);
+      graph_.for_each_out(
+          e.src, [&](VertexId w, std::uint32_t) { enqueue(w, frontier_); });
+    }
+  }
+
+  // Base frozen across the phase; the certification sweeps repair the
+  // teleport/dangling coupling afterwards.
+  double dangling = 0.0;
+  if (params_.redistribute_dangling) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (active_[v] != 0 &&
+          graph_.out_degree(static_cast<VertexId>(v)) == 0) {
+        dangling += x_[v];
+      }
+    }
+  }
+  const double base = (params_.alpha + d * dangling) / n_active;
+
+  constexpr std::size_t kMaxRounds = 64;
+  std::uint64_t edges = 0;  // not counted: kEdgesTraversed prices sweeps
+  for (std::size_t round = 0; round < kMaxRounds && !frontier_.empty() &&
+                              stats.frontier_visits < 4 * n;
+       ++round) {
+    ++stats.frontier_rounds;
+    next_frontier_.clear();
+    ++epoch_;
+    for (const VertexId v : frontier_) {
+      ++stats.frontier_visits;
+      const double value = base + d * pull_sum(graph_, x_.data(), v, edges);
+      const double change = std::abs(value - x_[v]);
+      x_[v] = value;
+      if (change > theta) {
+        graph_.for_each_out(v, [&](VertexId w, std::uint32_t) {
+          enqueue(w, next_frontier_);
+        });
+      }
+    }
+    frontier_.swap(next_frontier_);
+  }
+
+  // The localized updates do not preserve total probability mass, and a
+  // mass error can only decay at the slow damping rate d per sweep —
+  // which would erase the phase's benefit. Project back onto the mass-1
+  // manifold before certifying.
+  double mass = 0.0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (active_[v] != 0) mass += x_[v];
+  }
+  if (mass > 0.0) {
+    const double inv = 1.0 / mass;
+    for (std::size_t v = 0; v < n; ++v) x_[v] *= inv;
+  }
 }
 
 }  // namespace pmpr::streaming

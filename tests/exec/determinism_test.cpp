@@ -146,26 +146,29 @@ TEST(Determinism, OfflineAndStreamingRepeatBitIdentical) {
   // The other two models with parallel kernels: every residual goes
   // through parallel_reduce, whose split tree is fixed by the range, the
   // options and the pool size, so iterations, residuals and ranks repeat
-  // bit for bit.
+  // bit for bit. The ∆-push refresh is serial: its frontier pass and
+  // certifying sweeps repeat too.
   par::ThreadPool pool(3);
   const Scenario s{test::random_events(907, 2000, 30000, 50000),
                    WindowSpec::cover(0, 50000, 9000, 2500)};
   OfflineOptions offline;
-  offline.parallel_kernel = true;
   offline.pool = &pool;
   const auto offline_model = [&](ResultSink& sink) {
     return run_offline(s.events, s.spec, sink, offline);
   };
   expect_same_run(run_model(s, offline_model), run_model(s, offline_model),
                   "offline");
-  StreamingOptions streaming;
-  streaming.parallel_kernel = true;
-  streaming.pool = &pool;
-  const auto streaming_model = [&](ResultSink& sink) {
-    return run_streaming(s.events, s.spec, sink, streaming);
-  };
-  expect_same_run(run_model(s, streaming_model),
-                  run_model(s, streaming_model), "streaming");
+  for (const auto algorithm :
+       {StreamingAlgorithm::kWarmRestart, StreamingAlgorithm::kDeltaPush}) {
+    StreamingOptions streaming;
+    streaming.algorithm = algorithm;
+    streaming.pool = &pool;
+    const auto streaming_model = [&](ResultSink& sink) {
+      return run_streaming(s.events, s.spec, sink, streaming);
+    };
+    expect_same_run(run_model(s, streaming_model),
+                    run_model(s, streaming_model), to_string(algorithm));
+  }
 }
 
 TEST(Determinism, PoolSizeDoesNotChangeResults) {

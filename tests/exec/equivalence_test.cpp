@@ -1,5 +1,5 @@
-// Cross-model equivalence: offline, streaming and postmortem must compute
-// the same PageRank time series — the paper's fairness premise ("the code
+// Cross-model equivalence: offline, streaming (warm restart and ∆-push) and
+// postmortem must compute the same PageRank time series — the paper's fairness premise ("the code
 // bases produce the same results and makes the comparison fair", §5.1).
 #include <gtest/gtest.h>
 
@@ -62,6 +62,11 @@ void expect_all_models_agree(const Scenario& s) {
   StoreAllSink streaming_sink(s.spec.count);
   run_streaming(s.events, s.spec, streaming_sink, str);
 
+  StreamingOptions delta = str;
+  delta.algorithm = StreamingAlgorithm::kDeltaPush;
+  StoreAllSink delta_sink(s.spec.count);
+  run_streaming(s.events, s.spec, delta_sink, delta);
+
   PostmortemConfig pm;
   pm.pr = pr;
   pm.num_multi_windows = 3;
@@ -73,9 +78,12 @@ void expect_all_models_agree(const Scenario& s) {
   for (std::size_t w = 0; w < s.spec.count; ++w) {
     const auto off_x = offline_sink.dense(w, n);
     const auto str_x = streaming_sink.dense(w, n);
+    const auto delta_x = delta_sink.dense(w, n);
     const auto pm_x = postmortem_sink.dense(w, n);
     ASSERT_LT(test::linf_diff(off_x, str_x), 1e-8)
         << s.name << " offline vs streaming, window " << w;
+    ASSERT_LT(test::linf_diff(off_x, delta_x), 1e-8)
+        << s.name << " offline vs streaming delta-push, window " << w;
     ASSERT_LT(test::linf_diff(off_x, pm_x), 1e-8)
         << s.name << " offline vs postmortem, window " << w;
   }

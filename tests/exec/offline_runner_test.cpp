@@ -44,42 +44,22 @@ TEST(OfflineRunner, ReportsTimingAndIterations) {
 }
 
 TEST(OfflineRunner, SequentialKernelMatchesParallel) {
+  // A one-thread pool runs each sweep as one call on the caller: the
+  // sequential kernel.
   const TemporalEdgeList events = test::random_events(11, 60, 2000, 6000);
   const WindowSpec spec = WindowSpec::cover(0, 6000, 1500, 600);
+  par::ThreadPool one(1);
+  par::ThreadPool three(3);
   OfflineOptions seq;
-  seq.parallel_kernel = false;
   seq.pr.tol = 1e-12;
-  OfflineOptions parl;
-  parl.parallel_kernel = true;
-  parl.pr.tol = 1e-12;
+  seq.pool = &one;
+  OfflineOptions parl = seq;
+  parl.pool = &three;
 
   StoreAllSink a(spec.count);
   StoreAllSink b(spec.count);
   run_offline(events, spec, a, seq);
   run_offline(events, spec, b, parl);
-  for (std::size_t w = 0; w < spec.count; ++w) {
-    ASSERT_LT(test::linf_diff(a.dense(w, events.num_vertices()),
-                              b.dense(w, events.num_vertices())),
-              1e-12)
-        << "window " << w;
-  }
-}
-
-TEST(OfflineRunner, ParallelWindowsMatchesSequential) {
-  // §3.3.1: the offline model is embarrassingly parallel across windows.
-  const TemporalEdgeList events = test::random_events(13, 50, 2000, 9000);
-  const WindowSpec spec = WindowSpec::cover(0, 9000, 2500, 600);
-  OfflineOptions seq;
-  seq.pr.tol = 1e-12;
-  seq.pr.max_iters = 500;
-  OfflineOptions fanout = seq;
-  fanout.parallel_windows = true;
-
-  StoreAllSink a(spec.count);
-  StoreAllSink b(spec.count);
-  const RunResult ra = run_offline(events, spec, a, seq);
-  const RunResult rb = run_offline(events, spec, b, fanout);
-  EXPECT_EQ(ra.total_iterations, rb.total_iterations);
   for (std::size_t w = 0; w < spec.count; ++w) {
     ASSERT_LT(test::linf_diff(a.dense(w, events.num_vertices()),
                               b.dense(w, events.num_vertices())),

@@ -254,6 +254,32 @@ TEST(PostmortemRunner, SpmmLanesSeedFromPreviousBatchLastLane) {
     EXPECT_EQ(r.counters[obs::Counter::kVerticesReused], reused);
     EXPECT_EQ(r.counters[obs::Counter::kVerticesReseeded], total - reused);
   }
+  {
+    // The carried ranks, not only the carried activity: windows 0-6 hold a
+    // 2-regular graph (uniform ranks), windows 7-15 a star, over the same
+    // 20 vertices. Seeded from window 7's converged star ranks, every lane
+    // of batch 1 converges in one sweep; seeded from another lane of batch
+    // 0, it would iterate from the uniform vector.
+    const WindowSpec tumbling{.t0 = 0, .delta = 999, .sw = 1000, .count = 16};
+    TemporalEdgeList events;
+    for (std::size_t w = 0; w < tumbling.count; ++w) {
+      const auto t = static_cast<Timestamp>(1000 * w + 500);
+      for (VertexId v = 0; v < 20; ++v) {
+        if (w < 7) {
+          events.add(v, (v + 1) % 20, t);
+          events.add(v, (v + 3) % 20, t);
+        } else if (v > 0) {
+          events.add(v, 0, t);
+          events.add(0, v, t);
+        }
+      }
+    }
+    const RunResult r = run_counted_spmm8(events, tumbling);
+    EXPECT_GT(r.iterations_per_window[7], 10);
+    for (std::size_t w = 8; w < tumbling.count; ++w) {
+      EXPECT_LE(r.iterations_per_window[w], 2) << "window " << w;
+    }
+  }
 }
 
 TEST(PostmortemRunner, PagedPeakCountsWorkingSet) {

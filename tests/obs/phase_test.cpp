@@ -83,14 +83,12 @@ void run_model(Model m, par::ThreadPool& pool) {
   StoreAllSink sink(spec.count);
   if (m == Model::kOffline) {
     OfflineOptions opts;
-    opts.parallel_kernel = false;
     opts.pool = &pool;
     run_offline(events, spec, sink, opts);
     return;
   }
   if (m == Model::kStreaming) {
     StreamingOptions opts;
-    opts.parallel_kernel = false;
     opts.pool = &pool;
     run_streaming(events, spec, sink, opts);
     return;

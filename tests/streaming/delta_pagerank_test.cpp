@@ -1,5 +1,4 @@
-#include "streaming/delta_pagerank.hpp"
-
+// The ∆-push refresh (IncrementalPagerank::update_delta_push, Eq. 3).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -21,13 +20,13 @@ std::vector<double> to_vec(std::span<const double> s) {
   return {s.begin(), s.end()};
 }
 
-/// Drives graph + delta PR through the sliding windows, checking every
+/// Drives graph + ∆-push PR through the sliding windows, checking every
 /// window against brute force.
 TEST(DeltaPagerank, TracksWindowsToSharedTolerance) {
   const TemporalEdgeList events = test::random_events(123, 30, 1500, 8000);
   const WindowSpec spec = WindowSpec::cover(0, 8000, 2000, 600);
   DynamicGraph g(events.num_vertices());
-  DeltaPagerank pr(g, tight_params());
+  IncrementalPagerank pr(g, tight_params());
 
   for (std::size_t w = 0; w < spec.count; ++w) {
     std::span<const TemporalEdge> inserted;
@@ -40,7 +39,7 @@ TEST(DeltaPagerank, TracksWindowsToSharedTolerance) {
     }
     g.remove_batch(removed);
     g.insert_batch(inserted);
-    pr.update(inserted, removed);
+    pr.update_delta_push(inserted, removed);
 
     const auto ref = test::brute_pagerank(
         test::brute_window_edges(events, spec.start(w), spec.end(w)),
@@ -61,7 +60,7 @@ TEST(DeltaPagerank, SmallBatchesNeedFewerCertifyingSweeps) {
   p.max_iters = 500;
 
   DynamicGraph gd(events.num_vertices());
-  DeltaPagerank delta(gd, p);
+  IncrementalPagerank delta(gd, p);
   DynamicGraph gw(events.num_vertices());
   IncrementalPagerank warm(gw, p);
 
@@ -81,7 +80,7 @@ TEST(DeltaPagerank, SmallBatchesNeedFewerCertifyingSweeps) {
     gd.insert_batch(inserted);
     gw.remove_batch(removed);
     gw.insert_batch(inserted);
-    const auto ds = delta.update(inserted, removed);
+    const auto ds = delta.update_delta_push(inserted, removed);
     delta_sweeps += static_cast<std::uint64_t>(ds.pagerank.iterations);
     warm_sweeps += static_cast<std::uint64_t>(warm.update().iterations);
     total_rounds += ds.frontier_rounds;
@@ -94,8 +93,8 @@ TEST(DeltaPagerank, SmallBatchesNeedFewerCertifyingSweeps) {
 
 TEST(DeltaPagerank, EmptyGraphZeroVector) {
   DynamicGraph g(4);
-  DeltaPagerank pr(g, tight_params());
-  const auto stats = pr.update({}, {});
+  IncrementalPagerank pr(g, tight_params());
+  const auto stats = pr.update_delta_push({}, {});
   EXPECT_EQ(stats.pagerank.iterations, 0);
   for (const double v : pr.values()) EXPECT_EQ(v, 0.0);
 }
@@ -104,11 +103,11 @@ TEST(DeltaPagerank, ResetForcesColdStart) {
   const TemporalEdgeList events = test::random_events(31, 20, 400, 1000);
   DynamicGraph g(events.num_vertices());
   g.insert_batch(events.events());
-  DeltaPagerank pr(g, tight_params());
-  pr.update(events.events(), {});
+  IncrementalPagerank pr(g, tight_params());
+  pr.update_delta_push(events.events(), {});
   const auto x1 = to_vec(pr.values());
   pr.reset();
-  const auto stats = pr.update({}, {});
+  const auto stats = pr.update_delta_push({}, {});
   EXPECT_EQ(stats.frontier_rounds, 0u);  // cold start skips the phase
   EXPECT_LT(test::linf_diff(x1, to_vec(pr.values())), 1e-9);
 }
@@ -117,7 +116,7 @@ TEST(DeltaPagerank, ValuesStayDistribution) {
   const TemporalEdgeList events = test::random_events(41, 40, 2000, 5000);
   const WindowSpec spec = WindowSpec::cover(0, 5000, 1500, 400);
   DynamicGraph g(events.num_vertices());
-  DeltaPagerank pr(g, tight_params());
+  IncrementalPagerank pr(g, tight_params());
   for (std::size_t w = 0; w < spec.count; ++w) {
     std::span<const TemporalEdge> inserted;
     std::span<const TemporalEdge> removed;
@@ -129,7 +128,7 @@ TEST(DeltaPagerank, ValuesStayDistribution) {
     }
     g.remove_batch(removed);
     g.insert_batch(inserted);
-    pr.update(inserted, removed);
+    pr.update_delta_push(inserted, removed);
     const double total = std::accumulate(pr.values().begin(),
                                          pr.values().end(), 0.0);
     if (g.num_active() > 0) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
+#include "graph/csr.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr::streaming {
@@ -116,6 +118,50 @@ TEST(IncrementalPagerank, ParallelKernelMatchesSequential) {
   parl.update(&opts);
   EXPECT_LT(test::linf_diff(to_vec(seq.values()), to_vec(parl.values())),
             1e-12);
+}
+
+TEST(IncrementalPagerank, ColdUpdatesRunTheOfflineKernelBitwise) {
+  // pagerank() and both refreshes run one power-iteration driver. On a
+  // window inserted in ascending source order, every in-chain lists its
+  // neighbors in the CSR's order, so a cold warm-restart update and a cold
+  // ∆-push update reproduce pagerank()'s bits and iteration count.
+  constexpr VertexId kVertices = 300;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256 rng(seed);
+    std::vector<TemporalEdge> window;
+    while (window.size() < 3000) {
+      const auto u = static_cast<VertexId>(rng.bounded(kVertices));
+      const auto v = static_cast<VertexId>(rng.bounded(kVertices));
+      if (u != v) window.push_back({u, v, 0});
+    }
+    std::stable_sort(window.begin(), window.end(),
+                     [](const TemporalEdge& a, const TemporalEdge& b) {
+                       return a.src < b.src;
+                     });
+
+    const WindowGraph wg = build_window_graph(window, kVertices);
+    std::vector<double> x(kVertices, 0.0);
+    std::vector<double> scratch(kVertices, 0.0);
+    full_init(wg.is_active, wg.num_active, x);
+    const PagerankStats offline = pagerank(wg, x, scratch, PagerankParams{});
+
+    DynamicGraph g(kVertices);
+    g.insert_batch(window);
+    IncrementalPagerank warm(g, PagerankParams{});
+    const PagerankStats warm_stats = warm.update();
+    IncrementalPagerank delta(g, PagerankParams{});
+    const DeltaPushStats delta_stats = delta.update_delta_push(window, {});
+
+    EXPECT_EQ(warm_stats.iterations, offline.iterations) << "seed " << seed;
+    EXPECT_EQ(delta_stats.pagerank.iterations, offline.iterations)
+        << "seed " << seed;
+    EXPECT_EQ(warm_stats.final_residual, offline.final_residual)
+        << "seed " << seed;
+    EXPECT_EQ(delta_stats.pagerank.final_residual, offline.final_residual)
+        << "seed " << seed;
+    EXPECT_EQ(to_vec(warm.values()), x) << "seed " << seed;
+    EXPECT_EQ(to_vec(delta.values()), x) << "seed " << seed;
+  }
 }
 
 TEST(IncrementalPagerank, ValuesSumToOneAfterEveryUpdate) {
